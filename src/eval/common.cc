@@ -108,10 +108,9 @@ void ApplyRetention(const AnalyzedQuery& query, Database& db,
     if (!step_col.has_value()) continue;
     Relation* rel = db.MutableRelIfExists(p);
     if (rel == nullptr || rel->empty()) continue;
-    const int col = *step_col;
-    rel->RemoveIf([col, cutoff](const Tuple& t) {
-      const Value& v = t[static_cast<size_t>(col)];
-      return v.is_int() && v.AsInt() < cutoff;
+    const size_t col = static_cast<size_t>(*step_col);
+    rel->RemoveIf([col, cutoff](const Relation::RowView& row) {
+      return row.is_int(col) && row.AsInt(col) < cutoff;
     });
   }
 }

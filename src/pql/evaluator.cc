@@ -105,13 +105,54 @@ std::string EvalStats::Summary(const AnalyzedQuery& query) const {
 
 namespace {
 
-/// Mutable variable bindings during one rule walk.
+/// Mutable variable bindings during one rule walk. Values of unbound
+/// slots are stale leftovers and never read.
 struct Env {
   std::vector<Value> vals;
   std::vector<uint8_t> bound;
 
-  explicit Env(size_t n) : vals(n), bound(n, 0) {}
+  void Reset(size_t n) {
+    vals.resize(n);
+    bound.assign(n, 0);
+  }
 };
+
+/// Scratch storage of rule walks, reused from walk to walk so evaluation
+/// allocates only while a thread's frame still grows. The evaluator is
+/// shared by every engine worker and serve step thread, and a walk never
+/// starts another walk, so one frame per thread suffices.
+struct RuleFrame {
+  Env env;
+  std::vector<size_t> order;
+  std::vector<uint8_t> existential;
+  Tuple head;
+  /// Per plan position: the ground tuple of a negated atom, or the edge
+  /// tuple a static atom enumerates into.
+  std::vector<Tuple> rows;
+  // Semi-naive driver loop of one rule (EvalRuleSemiNaiveImpl).
+  std::vector<int> drivers;
+  std::vector<size_t> sizes;
+  std::vector<uint64_t> epochs;
+};
+
+RuleFrame& ThreadFrame() {
+  thread_local RuleFrame frame;
+  return frame;
+}
+
+Result<Value> ApplyArith(char op, const Value& l, const Value& r) {
+  switch (op) {
+    case '+':
+      return l.Add(r);
+    case '-':
+      return l.Sub(r);
+    case '*':
+      return l.Mul(r);
+    case '/':
+      return l.Div(r);
+  }
+  return Status::Internal("bad op");
+}
 
 /// Evaluates pool term `idx`; nullopt when arithmetic fails (div by zero,
 /// type error) — the current valuation is then skipped, not a hard error.
@@ -128,21 +169,7 @@ std::optional<Value> EvalTerm(const CompiledRule& rule, int idx,
       auto l = EvalTerm(rule, t.lhs, env);
       auto r = EvalTerm(rule, t.rhs, env);
       if (!l || !r) return std::nullopt;
-      Result<Value> out = Status::Internal("bad op");
-      switch (t.op) {
-        case '+':
-          out = l->Add(*r);
-          break;
-        case '-':
-          out = l->Sub(*r);
-          break;
-        case '*':
-          out = l->Mul(*r);
-          break;
-        case '/':
-          out = l->Div(*r);
-          break;
-      }
+      Result<Value> out = ApplyArith(t.op, *l, *r);
       if (!out.ok()) return std::nullopt;
       return std::move(out).value();
     }
@@ -227,21 +254,27 @@ struct GroupAccum {
 class RuleRun {
  public:
   RuleRun(const CompiledRule& rule, EvalContext& ctx,
-          RuleEvalStats& stats, int delta_literal, size_t delta_from,
-          PersistentAggState* persistent_agg = nullptr)
+          RuleEvalStats& stats, RuleFrame& frame, int delta_literal,
+          size_t delta_from, PersistentAggState* persistent_agg = nullptr)
       : rule_(rule),
         ctx_(ctx),
         stats_(stats),
-        env_(rule.vars.size()),
+        env_(frame.env),
+        head_(frame.head),
+        rows_(frame.rows),
+        order_(frame.order),
+        existential_(frame.existential),
         delta_literal_(delta_literal),
         delta_from_(delta_from),
         persistent_agg_(persistent_agg) {
+    env_.Reset(rule.vars.size());
     // Semi-naive: walk the delta atom FIRST so per-round work scales with
     // the new tuples, not the accumulated relation. Promoting a positive
     // atom can only add bindings earlier, so the plan stays safe; the
     // runtime handles flipped binding directions of `=` comparisons.
     order_.assign(rule.eval_order.begin(), rule.eval_order.end());
     existential_.assign(rule.existential.begin(), rule.existential.end());
+    if (rows_.size() < order_.size()) rows_.resize(order_.size());
     if (delta_literal_ >= 0) {
       for (size_t k = 0; k < order_.size(); ++k) {
         if (static_cast<int>(order_[k]) == delta_literal_) {
@@ -478,10 +511,9 @@ class RuleRun {
       step_v = &*step_owned;
     }
 
-    // One tuple buffer per enumeration: MatchTuple never keeps the row
+    // One tuple buffer per plan position: MatchTuple never keeps the row
     // past its return, so refilling in place is safe and allocation-free.
-    Tuple edge_tuple;
-    edge_tuple.reserve(with_value ? 4 : 2);
+    Tuple& edge_tuple = rows_[k];
     auto emit_out_edges = [&](VertexId src) -> Status {
       if (src < 0 || src >= g.num_vertices()) return Status::OK();
       auto nbrs = g.OutNeighbors(src);
@@ -605,21 +637,12 @@ class RuleRun {
     const bool existential = Existential(k);
     bool unified = false;
     if (probe_col >= 0) {
-      const std::vector<uint32_t>& bucket = rel.Probe(probe_col, *probe_val);
+      // The bucket walks only the rows it held when probed, so a recursive
+      // rule may insert into this very relation mid-walk; those rows are
+      // picked up by the enclosing fixpoint round.
+      const Relation::Bucket bucket = rel.Probe(probe_col, *probe_val);
       stats_.probe_rows += bucket.size();
-      std::span<const uint32_t> candidates(bucket);
-      std::vector<uint32_t> snapshot;
-      if (lit.pred == rule_.head_pred) {
-        // Recursive rule: MatchTuple recursion inserts into this very
-        // relation, which can grow/rehash the bucket mid-iteration —
-        // walk a snapshot copy instead. (The copy must be local: with
-        // non-linear recursion two plan positions probe the head
-        // relation at once. Rows inserted during the walk are picked up
-        // by the enclosing fixpoint round.)
-        snapshot.assign(bucket.begin(), bucket.end());
-        candidates = snapshot;
-      }
-      for (uint32_t idx : candidates) {
+      for (uint32_t idx : bucket) {
         if (idx < min_row) continue;
         ARIADNE_RETURN_NOT_OK(
             MatchTuple(lit, rel.row_view(idx), k, &unified));
@@ -638,8 +661,8 @@ class RuleRun {
 
   Status StepNegatedAtom(const CLiteral& lit, size_t k) {
     // All arguments are bound (plan guarantee); build the ground tuple.
-    Tuple t;
-    t.reserve(lit.args.size());
+    Tuple& t = rows_[k];
+    t.clear();
     for (int arg : lit.args) {
       auto v = EvalTerm(rule_, arg, env_);
       if (!v) return Status::OK();
@@ -743,13 +766,13 @@ class RuleRun {
       return Status::OK();
     }
 
-    scratch_.clear();
+    head_.clear();
     for (const CHeadTerm& h : rule_.head) {
       auto v = EvalTerm(rule_, h.term, env_);
       if (!v) return Status::OK();
-      scratch_.push_back(std::move(*v));
+      head_.push_back(std::move(*v));
     }
-    if (ctx_.db->Rel(rule_.head_pred).Insert(scratch_)) {
+    if (ctx_.db->Rel(rule_.head_pred).Insert(head_)) {
       derived_ = true;
       ++stats_.derived;
     }
@@ -897,12 +920,12 @@ class RuleRun {
   const CompiledRule& rule_;
   EvalContext& ctx_;
   RuleEvalStats& stats_;
-  Env env_;
-  /// Reused head-tuple buffer (Derive) — keeps the hot derivation path
-  /// free of per-tuple vector allocations.
-  Tuple scratch_;
-  std::vector<size_t> order_;
-  std::vector<uint8_t> existential_;
+  // Borrowed from the thread's RuleFrame.
+  Env& env_;
+  Tuple& head_;
+  std::vector<Tuple>& rows_;
+  std::vector<size_t>& order_;
+  std::vector<uint8_t>& existential_;
   bool derived_ = false;
   int delta_literal_ = -1;
   size_t delta_from_ = 0;
@@ -945,6 +968,7 @@ Result<bool> EvalRuleSemiNaiveImpl(
   if (atom_watermarks.size() != rule.body.size()) {
     atom_watermarks.assign(rule.body.size(), AtomWatermark{});
   }
+  RuleFrame& frame = ThreadFrame();
   // Incremental aggregates: fold only the driver atom's delta into
   // persistent group state (bounded per-superstep work for the paper's
   // degree / sum-error aggregates).
@@ -965,14 +989,16 @@ Result<bool> EvalRuleSemiNaiveImpl(
       if (wm.rows > 0) ++stats.delta_rescans;
     }
     if (*agg_state == nullptr) *agg_state = std::make_unique<PersistentAggState>();
-    RuleRun run(rule, ctx, stats, agg_driver, from, agg_state->get());
+    RuleRun run(rule, ctx, stats, frame, agg_driver, from,
+                agg_state->get());
     ++stats.evaluations;
     auto result = run.RunIncrementalAggregate();
     wm.epoch = epoch;
     wm.rows = size;
     return result;
   }
-  std::vector<int> drivers;
+  std::vector<int>& drivers = frame.drivers;
+  drivers.clear();
   if (!rule.has_aggregate) {
     for (size_t i = 0; i < rule.body.size(); ++i) {
       const CLiteral& lit = rule.body[i];
@@ -986,7 +1012,7 @@ Result<bool> EvalRuleSemiNaiveImpl(
   }
   bool derived = false;
   if (drivers.empty()) {
-    RuleRun run(rule, ctx, stats, /*delta_literal=*/-1, 0);
+    RuleRun run(rule, ctx, stats, frame, /*delta_literal=*/-1, 0);
     ++stats.evaluations;
     ARIADNE_ASSIGN_OR_RETURN(bool d, run.Run());
     derived = d;
@@ -994,8 +1020,10 @@ Result<bool> EvalRuleSemiNaiveImpl(
     // Snapshot sizes first: rows inserted *during* this evaluation get
     // covered by the next fixpoint round. Epoch changes (retention,
     // aggregate replacement) invalidate row indices: rescan from zero.
-    std::vector<size_t> current(drivers.size());
-    std::vector<uint64_t> epochs(drivers.size(), 0);
+    std::vector<size_t>& current = frame.sizes;
+    std::vector<uint64_t>& epochs = frame.epochs;
+    current.assign(drivers.size(), 0);
+    epochs.assign(drivers.size(), 0);
     for (size_t j = 0; j < drivers.size(); ++j) {
       const Relation* rel = ctx.db->RelIfExists(
           rule.body[static_cast<size_t>(drivers[j])].pred);
@@ -1007,7 +1035,7 @@ Result<bool> EvalRuleSemiNaiveImpl(
       const size_t from = wm.epoch == epochs[j] ? wm.rows : 0;
       if (wm.epoch != epochs[j] && wm.rows > 0) ++stats.delta_rescans;
       if (from >= current[j]) continue;  // no new rows for this driver
-      RuleRun run(rule, ctx, stats, drivers[j], from);
+      RuleRun run(rule, ctx, stats, frame, drivers[j], from);
       ++stats.evaluations;
       ARIADNE_ASSIGN_OR_RETURN(bool d, run.Run());
       derived = derived || d;
@@ -1100,7 +1128,7 @@ void QueryResult::Merge(const AnalyzedQuery& query, const Database& db) {
       tables_.emplace_back(name, std::make_unique<Relation>(rel->arity()));
       merged = tables_.back().second.get();
     }
-    for (size_t i = 0; i < rel->size(); ++i) merged->Insert(rel->TupleAt(i));
+    for (size_t i = 0; i < rel->size(); ++i) merged->Insert(rel->row_view(i));
   }
 }
 

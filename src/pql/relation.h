@@ -4,10 +4,12 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <initializer_list>
+#include <memory>
+#include <span>
 #include <string>
 #include <string_view>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "common/value.h"
@@ -35,10 +37,12 @@ std::string TupleToString(const Tuple& t);
 ///
 /// Storage is flat: rows live as fixed-size cells in one contiguous
 /// arena (ints and doubles inline; strings and double vectors interned
-/// into per-relation pools and referenced by id), so inserts, probes and
-/// dedup do no per-row heap allocation. `byte_size()` still accounts the
-/// logical Tuple footprint, keeping the paper's provenance-size numbers
-/// unchanged.
+/// into per-relation pools, created on first use, and referenced by id).
+/// Dedup and the column indexes are open-addressing tables over row ids
+/// that keep their capacity across Clear/RemoveIf, so inserts, probes and
+/// retention do no per-row heap allocation. `byte_size()` still accounts
+/// the logical Tuple footprint, keeping the paper's provenance-size
+/// numbers unchanged.
 class Relation {
  public:
   /// One flat column cell. 16 bytes; the payload interpretation follows
@@ -75,6 +79,9 @@ class Relation {
     /// Column-against-Value comparison without materializing the cell.
     bool Equals(size_t col, const Value& v) const;
 
+    /// Value::Hash of column `col`, computed without materializing it.
+    size_t Hash(size_t col) const;
+
     Tuple ToTuple() const;
 
    private:
@@ -87,39 +94,94 @@ class Relation {
     uint32_t n_ = 0;
   };
 
+  /// Probe result: the ids of the rows whose indexed column equals the
+  /// probed value, ascending. It walks the index's per-key row chain and
+  /// covers the rows the bucket held when Probe returned: rows inserted
+  /// while a caller iterates (a recursive rule deriving into the relation
+  /// it probes) are not visited, and inserting keeps the bucket valid.
+  /// Invalidated by Clear, RemoveIf and ReplaceAll.
+  class Bucket {
+   public:
+    class Iterator {
+     public:
+      uint32_t operator*() const { return row_; }
+      Iterator& operator++() {
+        if (--left_ > 0) row_ = rel_->NextInChain(col_, row_);
+        return *this;
+      }
+      bool operator==(const Iterator& o) const { return left_ == o.left_; }
+
+     private:
+      friend class Bucket;
+      Iterator(const Relation* rel, int col, uint32_t row, uint32_t left)
+          : rel_(rel), col_(col), row_(row), left_(left) {}
+
+      const Relation* rel_;
+      int col_;
+      uint32_t row_;
+      uint32_t left_;
+    };
+
+    Bucket() = default;
+
+    size_t size() const { return size_; }
+    bool empty() const { return size_ == 0; }
+    Iterator begin() const { return Iterator(rel_, col_, head_, size_); }
+    Iterator end() const { return Iterator(rel_, col_, head_, 0); }
+
+   private:
+    friend class Relation;
+    Bucket(const Relation* rel, int col, uint32_t head, uint32_t size)
+        : rel_(rel), col_(col), head_(head), size_(size) {}
+
+    const Relation* rel_ = nullptr;
+    int col_ = 0;
+    uint32_t head_ = 0;
+    uint32_t size_ = 0;
+  };
+
   explicit Relation(int arity = 0) : arity_(arity) {}
 
-  // Non-copyable/non-movable: the dedup set's hasher captures a pointer
-  // to this object's row storage.
   Relation(const Relation&) = delete;
   Relation& operator=(const Relation&) = delete;
 
   int arity() const { return arity_; }
-  size_t size() const { return row_begin_.size() - 1; }
-  bool empty() const { return size() == 0; }
+  size_t size() const { return rows_.size(); }
+  bool empty() const { return rows_.empty(); }
 
   /// Borrowed view of row `i` (invalidated by the next mutating call).
   RowView row_view(size_t i) const {
-    return RowView(this, cells_.data() + row_begin_[i],
-                   row_begin_[i + 1] - row_begin_[i]);
+    const uint32_t begin = RowBegin(i);
+    return RowView(this, cells_.data() + begin, rows_[i].end - begin);
   }
 
   /// Materializes row `i` as a Tuple (copies interned payloads).
   Tuple TupleAt(size_t i) const { return row_view(i).ToTuple(); }
 
-  /// Inserts a tuple; returns false (and drops it) when already present.
-  bool Insert(const Tuple& t);
+  /// Inserts a row; returns false (and drops it) when already present.
+  bool Insert(std::span<const Value> t);
+  bool Insert(std::initializer_list<Value> t) {
+    return Insert(std::span<const Value>(t.begin(), t.size()));
+  }
+  bool Insert(const Tuple& t) { return Insert(std::span<const Value>(t)); }
+  /// Copies a row of another relation (re-interning its payloads).
+  bool Insert(const RowView& row);
 
-  bool Contains(const Tuple& t) const;
+  bool Contains(std::span<const Value> t) const;
+  bool Contains(const Tuple& t) const {
+    return Contains(std::span<const Value>(t));
+  }
 
-  /// Row indices whose column `col` equals `v`. Builds an index on `col`
-  /// on first use and extends it incrementally afterwards. The returned
-  /// reference is invalidated by the next mutating call.
-  const std::vector<uint32_t>& Probe(int col, const Value& v);
+  /// Rows whose column `col` equals `v`. Builds an index on `col` on
+  /// first use and extends it incrementally afterwards.
+  Bucket Probe(int col, const Value& v);
 
   /// Whether Probe already built an index on `col` (profiling: lets the
   /// evaluator count index builds before triggering one).
-  bool HasIndex(int col) const { return indexes_.count(col) != 0; }
+  bool HasIndex(int col) const {
+    return static_cast<size_t>(col) < indexes_.size() &&
+           indexes_[static_cast<size_t>(col)].built;
+  }
 
   /// Approximate memory footprint of the stored tuples (indexes excluded)
   /// — the unit of the provenance-size accounting (Tables 3-4).
@@ -138,9 +200,10 @@ class Relation {
   /// if the contents changed.
   bool ReplaceAll(std::vector<Tuple> tuples);
 
-  /// Removes rows matching `pred` (online history retention); rebuilds
-  /// dedup and index state.
-  void RemoveIf(const std::function<bool(const Tuple&)>& pred);
+  /// Removes rows matching `pred` (online history retention), compacting
+  /// the arena in place; kept rows keep their relative order. Always
+  /// starts a new epoch and drops the column indexes.
+  void RemoveIf(const std::function<bool(const RowView&)>& pred);
 
   void Clear();
 
@@ -148,67 +211,86 @@ class Relation {
   std::vector<std::string> ToSortedStrings() const;
 
  private:
-  /// Sentinel index addressing `probe_` instead of a stored row, so
-  /// membership tests hash a candidate tuple without copying it in.
-  static constexpr uint32_t kProbeIdx = 0xffffffffu;
+  static constexpr uint32_t kNoRow = 0xffffffffu;
 
-  struct IdxHash {
-    const Relation* rel;
-    size_t operator()(uint32_t i) const {
-      return i == kProbeIdx ? TupleHash()(*rel->probe_) : rel->RowHash(i);
-    }
+  /// Per-row bookkeeping: end offset of the row's cells (row i spans
+  /// [RowBegin(i), end)) and the row's hash, computed once on insert.
+  struct RowMeta {
+    uint32_t end;
+    uint32_t hash;
   };
-  struct IdxEq {
-    const Relation* rel;
-    bool operator()(uint32_t a, uint32_t b) const {
-      if (a == b) return true;
-      if (a == kProbeIdx) std::swap(a, b);
-      if (b == kProbeIdx) return rel->RowEqualsTuple(a, *rel->probe_);
-      return rel->RowEqualsRow(a, b);
-    }
+
+  /// One distinct key of a column index: its rows form a chain through
+  /// ColumnIndex::next, from `head` to `tail`, in insertion order.
+  /// `count == 0` marks an empty table slot.
+  struct KeySlot {
+    uint32_t hash = 0;
+    uint32_t head = 0;
+    uint32_t tail = 0;
+    uint32_t count = 0;
   };
+
   struct ColumnIndex {
-    std::unordered_map<Value, std::vector<uint32_t>, ValueHash> buckets;
-    size_t indexed_up_to = 0;
+    bool built = false;
+    uint32_t num_keys = 0;
+    std::vector<KeySlot> slots;  ///< open addressing, power-of-two size
+    /// Per indexed row (rows [0, next.size()) are indexed): the next row
+    /// with the same key.
+    std::vector<uint32_t> next;
   };
 
-  /// Appends `t` to the arena (interning strings/vectors); returns the
-  /// new row index. Does not touch dedup/indexes/version.
-  uint32_t EncodeRow(const Tuple& t);
+  /// Interned payloads. Deques keep element addresses stable so views and
+  /// the id maps can reference them. Pools survive Clear(): retention
+  /// churn re-inserts mostly the same payloads, and stale entries are
+  /// unreachable once no row references them.
+  struct StringPool {
+    std::deque<std::string> items;
+    std::vector<size_t> hashes;  ///< std::hash of each pooled string
+    std::unordered_map<std::string_view, uint32_t> ids;
+  };
+  struct VectorPool {
+    std::deque<std::vector<double>> items;
+    std::vector<size_t> hashes;  ///< Value-compatible payload hashes
+    std::unordered_map<size_t, std::vector<uint32_t>> ids;
+  };
+
+  uint32_t RowBegin(size_t i) const { return i == 0 ? 0 : rows_[i - 1].end; }
+  uint32_t NextInChain(int col, uint32_t row) const {
+    return indexes_[static_cast<size_t>(col)].next[row];
+  }
+
+  template <typename Row>
+  bool InsertRow(const Row& row);
+  template <typename Row>
+  size_t FindRowSlot(uint32_t hash, const Row& row) const;
+  template <typename Row>
+  bool CellEquals(const Cell& c, const Row& row, size_t col) const;
+  template <typename Row>
+  void EncodeRow(const Row& row);
+
+  void GrowDedup();
+  /// Adds the next unindexed row to `index`.
+  void IndexNextRow(ColumnIndex& index, int col);
+  void ResetIndexes();
 
   uint32_t InternString(const std::string& s);
   uint32_t InternDoubleVector(const std::vector<double>& v);
 
   Value CellToValue(const Cell& c) const;
-  bool CellEqualsValue(const Cell& c, const Value& v) const;
-  /// Matches Value::Hash of the materialized cell exactly (the dedup set
-  /// mixes row hashes with hashes of probe Tuples).
+  /// Matches Value::Hash of the materialized cell exactly, so rows and
+  /// keys hash alike whether they arrive as Values or as cells.
   size_t CellHash(const Cell& c) const;
-  size_t RowHash(uint32_t i) const;
-  bool RowEqualsTuple(uint32_t i, const Tuple& t) const;
-  bool RowEqualsRow(uint32_t a, uint32_t b) const;
+  size_t RowByteSize(size_t i) const;
 
   int arity_;
-  /// Cell arena + row offsets: row i is cells_[row_begin_[i],
-  /// row_begin_[i+1]). One extra trailing offset, so size() is cheap.
+  /// Cell arena: row i is cells_[RowBegin(i), rows_[i].end).
   std::vector<Cell> cells_;
-  std::vector<uint32_t> row_begin_{0};
-
-  /// Interning pools. Deques keep element addresses stable so views and
-  /// the intern maps can reference them. Pools survive Clear(): retention
-  /// churn re-inserts mostly the same payloads, and stale entries are
-  /// unreachable once no row references them.
-  std::deque<std::string> string_pool_;
-  std::vector<size_t> string_hashes_;  ///< std::hash of each pooled string
-  std::unordered_map<std::string_view, uint32_t> string_ids_;
-  std::deque<std::vector<double>> vec_pool_;
-  std::vector<size_t> vec_hashes_;  ///< Value-compatible payload hashes
-  std::unordered_map<size_t, std::vector<uint32_t>> vec_ids_;
-
-  const Tuple* probe_ = nullptr;
-  std::unordered_set<uint32_t, IdxHash, IdxEq> dedup_{0, IdxHash{this},
-                                                      IdxEq{this}};
-  std::unordered_map<int, ColumnIndex> indexes_;
+  std::vector<RowMeta> rows_;
+  /// Dedup table: row id + 1 per slot, 0 = empty; power-of-two size.
+  std::vector<uint32_t> dedup_;
+  std::vector<ColumnIndex> indexes_;  ///< by column, sized on first Probe
+  std::unique_ptr<StringPool> strings_;
+  std::unique_ptr<VectorPool> vectors_;
   size_t byte_size_ = 0;
   uint64_t version_ = 0;
   uint64_t epoch_ = 0;

@@ -231,7 +231,10 @@ class LayerStore {
     uint64_t last_use = 0;
   };
 
-  void SubmitFlushLocked(Entry* entry);
+  /// Queues `entry` for flushing: the Locked half books it as pending,
+  /// SubmitFlush (called after releasing mu_) hands it to the flusher.
+  void MarkFlushPendingLocked(Entry* entry);
+  void SubmitFlush(Entry* entry);
   void FlushEntry(Entry* entry);
   void EvictResidentsLocked() const;
   size_t DecodedBudget() const;

@@ -66,7 +66,8 @@ TEST(SemiNaiveTest, RetentionEpochForcesCorrectRescan) {
   EXPECT_EQ(db.RelIfExists(q.PredId("p"))->size(), 6u);
 
   // Trim old rows (epoch bump), add a new one, re-evaluate.
-  steps.RemoveIf([](const Tuple& t) { return t[1].AsInt() < 4; });
+  steps.RemoveIf(
+      [](const Relation::RowView& row) { return row.AsInt(1) < 4; });
   steps.Insert({I(1), I(6)});
   ASSERT_TRUE(eval.Evaluate(ctx).ok());
   // Derived results persist; the new fact is picked up exactly once.
@@ -116,7 +117,9 @@ TEST(SemiNaiveTest, IncrementalAggregateSurvivesInputRebuild) {
   EXPECT_TRUE(db.RelIfExists(q.PredId("total"))->Contains({I(1), Value(5.0)}));
   // Rebuild the input (epoch bump): persistent state must reset, not
   // double count.
-  obs.RemoveIf([](const Tuple& t) { return t[1] == Value(int64_t{10}); });
+  obs.RemoveIf([](const Relation::RowView& row) {
+    return row.Equals(1, Value(int64_t{10}));
+  });
   ASSERT_TRUE(eval.Evaluate(ctx).ok());
   const Relation* total = db.RelIfExists(q.PredId("total"));
   EXPECT_EQ(total->size(), 1u);

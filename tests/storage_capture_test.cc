@@ -85,7 +85,8 @@ TEST_F(StorageCaptureTest, TinyBudgetSaveIsByteIdenticalAcrossThreadCounts) {
   const size_t budget = reference.TotalBytes() / reference.num_layers();
   int variant = 0;
   for (size_t engine_threads : {size_t{1}, size_t{4}}) {
-    for (int flush_threads : {1, 2}) {
+    // flush_threads = 0 flushes inline on the appending barrier thread.
+    for (int flush_threads : {0, 1, 2}) {
       SCOPED_TRACE("engine_threads=" + std::to_string(engine_threads) +
                    " flush_threads=" + std::to_string(flush_threads));
       ProvenanceStore store;

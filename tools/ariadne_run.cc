@@ -568,6 +568,7 @@ int RunWith(const Args& args, const Graph& graph, P& program) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  if (argc == 1) return Usage();
   Args args;
   for (int i = 1; i < argc; ++i) {
     auto next = [&]() -> const char* {
