@@ -5,9 +5,9 @@
 // faster per message than Giraph's).
 
 // Running with `--json out.json` skips google-benchmark and instead runs
-// the baseline-vs-sharded routing sweep (1M-edge R-MAT, 1/2/4/8 threads,
-// global-lock vs sharded owner-computes), writing one JSON record per
-// configuration — the source of the checked-in BENCH_engine.json.
+// the sharded owner-computes routing sweep (1M-edge R-MAT, 1/2/4/8
+// threads), writing one JSON record per configuration — the source of the
+// checked-in BENCH_engine.json.
 
 #include <benchmark/benchmark.h>
 
@@ -140,10 +140,9 @@ BENCHMARK(BM_AnalyzeAptQuery);
 /// phase breakdown come from the last run (they are identical across
 /// runs — the engine is deterministic).
 std::string SweepRow(const Graph& graph, const char* graph_name,
-                     MessageRouting routing, size_t threads, int rounds) {
+                     size_t threads, int rounds) {
   EngineOptions options;
   options.num_threads = threads;
-  options.routing = routing;
   RunStats stats;
   const double seconds = bench::TimedSeconds([&] {
     FloodProgram program(rounds);
@@ -152,14 +151,12 @@ std::string SweepRow(const Graph& graph, const char* graph_name,
     ARIADNE_CHECK(result.ok());
     stats = std::move(*result);
   });
-  const char* routing_name =
-      routing == MessageRouting::kSharded ? "sharded" : "global-lock";
-  std::fprintf(stderr, "  %-11s threads=%zu  %.3fs  %.3g msgs/s\n",
-               routing_name, threads, seconds,
+  std::fprintf(stderr, "  sharded threads=%zu  %.3fs  %.3g msgs/s\n",
+               threads, seconds,
                static_cast<double>(stats.total_messages) / seconds);
   bench::JsonObject row;
   row.Set("graph", graph_name)
-      .Set("routing", routing_name)
+      .Set("routing", "sharded")
       .Set("threads", static_cast<int64_t>(threads))
       .Set("supersteps", static_cast<int64_t>(stats.supersteps))
       .Set("messages", stats.total_messages)
@@ -186,11 +183,8 @@ int RunRoutingSweep(const std::string& json_path) {
                static_cast<long long>(graph->num_edges()), kRounds,
                bench::BenchReps());
   std::vector<std::string> rows;
-  for (auto routing :
-       {MessageRouting::kGlobalLock, MessageRouting::kSharded}) {
-    for (size_t threads : {size_t{1}, size_t{2}, size_t{4}, size_t{8}}) {
-      rows.push_back(SweepRow(*graph, kGraphName, routing, threads, kRounds));
-    }
+  for (size_t threads : {size_t{1}, size_t{2}, size_t{4}, size_t{8}}) {
+    rows.push_back(SweepRow(*graph, kGraphName, threads, kRounds));
   }
   bench::JsonObject top;
   bench::JsonObject graph_info;

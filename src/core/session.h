@@ -111,11 +111,12 @@ class Session {
       // CopyValuesTo (not values()) so paged vertex state also works.
       ARIADNE_RETURN_NOT_OK(engine.CopyValuesTo(final_values));
     }
+    MergedNodes merged = program.nodes().Merge();
     OnlineRunResult out;
     out.engine_stats = std::move(stats);
-    out.query_result = program.CollectResult();
-    out.transient_bytes = program.TransientBytes();
-    out.eval_stats = program.CollectEvalStats();
+    out.query_result = std::move(merged.result);
+    out.transient_bytes = merged.state_bytes;
+    out.eval_stats = std::move(merged.eval);
     return out;
   }
 
@@ -182,7 +183,7 @@ class Session {
                                 EvalMode mode) const {
     switch (mode) {
       case EvalMode::kLayered: {
-        LayeredEvaluator evaluator(graph_, store, &query, options_.engine);
+        LayeredEvaluator evaluator(graph_, store, &query);
         return evaluator.Run();
       }
       case EvalMode::kNaive: {

@@ -4,7 +4,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <span>
 #include <utility>
 #include <vector>
@@ -138,7 +137,6 @@ class Engine {
     const size_t workers = pool_.num_workers();
     num_shards_ = std::max<size_t>(1, options_.shard_multiplier * workers);
     const size_t chunk_size = std::max<size_t>(1, options_.chunk_size);
-    const bool sharded = options_.routing == MessageRouting::kSharded;
 
     RunStats stats;
     const uint64_t faults_before =
@@ -175,26 +173,19 @@ class Engine {
       if (active_.empty()) break;
 
       StepCounters counters;
-      double compute_seconds = 0.0, merge_seconds = 0.0;
-      if (sharded) {
-        phase_timer.Restart();
-        const size_t num_chunks =
-            ComputePhaseSharded(program, combiner, step, chunk_size, workers);
-        compute_seconds = phase_timer.ElapsedSeconds();
-        phase_timer.Restart();
-        MergePhaseSharded(combiner, num_chunks);
-        merge_seconds = phase_timer.ElapsedSeconds();
-        for (size_t c = 0; c < num_chunks; ++c) {
-          counters.sent += chunk_sent_[c];
-          counters.dropped += chunk_dropped_[c];
-          counters.combined += chunk_combined_[c];
-        }
-        for (int64_t hits : shard_combined_) counters.combined += hits;
-      } else {
-        phase_timer.Restart();
-        ComputeAndMergeGlobalLock(program, combiner, step, &counters);
-        compute_seconds = phase_timer.ElapsedSeconds();
+      phase_timer.Restart();
+      const size_t num_chunks =
+          ComputePhaseSharded(program, combiner, step, chunk_size, workers);
+      const double compute_seconds = phase_timer.ElapsedSeconds();
+      phase_timer.Restart();
+      MergePhaseSharded(combiner, num_chunks);
+      const double merge_seconds = phase_timer.ElapsedSeconds();
+      for (size_t c = 0; c < num_chunks; ++c) {
+        counters.sent += chunk_sent_[c];
+        counters.dropped += chunk_dropped_[c];
+        counters.combined += chunk_combined_[c];
       }
+      for (int64_t hits : shard_combined_) counters.combined += hits;
 
       // Out-of-core barrier check: the span-returning adjacency/value
       // accessors cannot report IO or checksum failures inline, so the
@@ -317,19 +308,16 @@ class Engine {
   };
 
   /// Concrete context handed to Compute; reset per vertex within a chunk.
-  /// Routes SendMessage into either the chunk's sharded outbox (owner-
-  /// computes mode) or a flat per-task outbox (global-lock mode).
+  /// Routes SendMessage into the chunk's sharded outbox.
   class Ctx final : public VertexContext<V, M> {
    public:
     Ctx(Engine* engine, Superstep step) : engine_(engine), step_(step) {}
 
     void BeginChunk(std::vector<std::vector<Send>>* shards,
-                    std::vector<Send>* flat,
                     const MessageCombiner<M>* sender_combiner,
                     CombineScratch* scratch,
                     std::vector<std::pair<std::string, double>>* agg_sink) {
       shards_ = shards;
-      flat_ = flat;
       sender_combiner_ = sender_combiner;
       scratch_ = scratch;
       agg_sink_ = agg_sink;
@@ -364,10 +352,6 @@ class Engine {
         ++dropped_;
         return;
       }
-      if (flat_ != nullptr) {
-        flat_->emplace_back(target, std::move(message));
-        return;
-      }
       auto& box = (*shards_)[engine_->ShardOf(target)];
       if (scratch_ != nullptr) {
         const size_t t = static_cast<size_t>(target);
@@ -384,14 +368,10 @@ class Engine {
     }
     void VoteToHalt() override { voted_halt_ = true; }
     void AggregateDouble(const std::string& name, double v) override {
-      // In sharded mode accumulations are buffered per chunk and folded in
-      // chunk order at the barrier: no registry mutex on the hot path, and
-      // floating-point aggregate sums stay identical for any thread count.
-      if (agg_sink_ != nullptr) {
-        agg_sink_->emplace_back(name, v);
-      } else {
-        engine_->aggregators_.Accumulate(name, v);
-      }
+      // Accumulations are buffered per chunk and folded in chunk order at
+      // the barrier: no registry mutex on the hot path, and floating-point
+      // aggregate sums stay identical for any thread count.
+      agg_sink_->emplace_back(name, v);
     }
     double GetAggregate(const std::string& name) const override {
       return engine_->aggregators_.Get(name);
@@ -404,7 +384,6 @@ class Engine {
     /// Pinned value window of the current chunk (set by RunChunk).
     typename VertexState<V>::Window* window_ = nullptr;
     std::vector<std::vector<Send>>* shards_ = nullptr;
-    std::vector<Send>* flat_ = nullptr;
     const MessageCombiner<M>* sender_combiner_ = nullptr;
     CombineScratch* scratch_ = nullptr;
     std::vector<std::pair<std::string, double>>* agg_sink_ = nullptr;
@@ -508,9 +487,8 @@ class Engine {
           }
           Ctx ctx(this, step);
           agg_buffers_[c].clear();
-          ctx.BeginChunk(&out.shards, nullptr,
-                         sender_combine ? combiner : nullptr, scratch,
-                         &agg_buffers_[c]);
+          ctx.BeginChunk(&out.shards, sender_combine ? combiner : nullptr,
+                         scratch, &agg_buffers_[c]);
           RunChunk(program, ctx, begin, end);
           chunk_sent_[c] = ctx.sent();
           chunk_dropped_[c] = ctx.dropped();
@@ -561,33 +539,6 @@ class Engine {
           }
           shard_combined_[s] = combined;
         });
-  }
-
-  /// Legacy routing (MessageRouting::kGlobalLock): every task funnels its
-  /// whole outbox through one mutex. Kept as the baseline the sharded path
-  /// is benchmarked against (bench_engine_micro --json).
-  void ComputeAndMergeGlobalLock(VertexProgram<V, M>& program,
-                                 const MessageCombiner<M>* combiner,
-                                 Superstep step, StepCounters* counters) {
-    std::mutex merge_mu;
-    pool_.ParallelFor(active_.size(), [&](size_t begin, size_t end) {
-      Ctx ctx(this, step);
-      std::vector<Send> outbox;
-      ctx.BeginChunk(nullptr, &outbox, nullptr, nullptr, nullptr);
-      RunChunk(program, ctx, begin, end);
-      std::lock_guard<std::mutex> lock(merge_mu);
-      counters->sent += ctx.sent();
-      counters->dropped += ctx.dropped();
-      for (Send& send : outbox) {
-        auto& box = next_inbox_[static_cast<size_t>(send.first)];
-        if (combiner != nullptr && !box.empty()) {
-          box[0] = combiner->Combine(box[0], send.second);
-          ++counters->combined;
-        } else {
-          box.push_back(std::move(send.second));
-        }
-      }
-    });
   }
 
   /// Runs the kernel for active-list positions [begin, end). The active

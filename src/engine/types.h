@@ -13,18 +13,6 @@ namespace ariadne {
 /// BSP superstep index, 0-based.
 using Superstep = int32_t;
 
-/// How messages travel from a sender's Compute to the target's inbox.
-enum class MessageRouting {
-  /// Two-phase owner-computes routing (DESIGN.md §2): workers fill
-  /// per-chunk, per-shard outboxes, then each shard's owner merges it into
-  /// the inboxes without any locking. Deterministic for any thread count.
-  kSharded,
-  /// The pre-sharding path: every worker merges its whole outbox under one
-  /// global mutex. Kept as the bench baseline and as a reference
-  /// implementation; O(threads) contention on the merge lock.
-  kGlobalLock,
-};
-
 /// Engine configuration (Giraph-job-conf equivalent).
 struct EngineOptions {
   /// Worker threads for vertex compute; <= 1 runs inline (deterministic).
@@ -34,8 +22,6 @@ struct EngineOptions {
   Superstep max_supersteps = 1000000;
   /// Record per-superstep statistics in RunStats::steps.
   bool collect_per_step_stats = true;
-  /// Message routing strategy; kSharded is the default and the fast path.
-  MessageRouting routing = MessageRouting::kSharded;
   /// Shards per worker for owner-computes routing (P = shard_multiplier *
   /// num_threads). More shards smooth the merge-phase load balance at the
   /// cost of smaller per-shard outboxes.

@@ -40,58 +40,118 @@ Status CheckDegradedCapture(const AnalyzedQuery& query,
   return Status::OK();
 }
 
-void DeliverShips(Database& db, const ShipBundle& bundle) {
+NodeDatabases::NodeDatabases(const AnalyzedQuery* query, const Graph* graph)
+    : query_(query), graph_(graph), evaluator_(query) {
+  Reset();
+}
+
+void NodeDatabases::Reset() {
+  const size_t n = static_cast<size_t>(graph_->num_vertices());
+  nodes_.clear();
+  nodes_.resize(n);
+  ship_marks_.assign(n * query_->shipped_preds().size(), 0);
+  capture_marks_.assign(n * query_->output_preds().size(), 0);
+  first_error_ = Status::OK();
+}
+
+Database& NodeDatabases::Db(VertexId v) {
+  std::unique_ptr<Database>& db = nodes_[static_cast<size_t>(v)].db;
+  if (db == nullptr) db = std::make_unique<Database>(query_);
+  return *db;
+}
+
+void NodeDatabases::Deliver(VertexId v, const ShipBundle& bundle) {
+  Database& db = Db(v);
   for (const auto& [pred, tuples] : bundle) {
     Relation& rel = db.Rel(pred);
     for (const Tuple& t : tuples) rel.Insert(t);
   }
 }
 
-namespace {
-
-ShipBundlePtr CollectImpl(const AnalyzedQuery& query, NodeQueryState& state,
-                          VertexId self, const ShipRouting* routing_filter) {
-  const auto& shipped = query.shipped_preds();
-  if (shipped.empty() || state.db == nullptr) return nullptr;
-  const Value self_loc(static_cast<int64_t>(self));
-  ShipBundle bundle;
-  for (size_t k = 0; k < shipped.size(); ++k) {
-    const int pred = shipped[k];
-    if (routing_filter != nullptr &&
-        query.pred(pred).routing != *routing_filter) {
-      continue;
-    }
-    const Relation* rel = state.db->RelIfExists(pred);
-    const size_t size = rel == nullptr ? 0 : rel->size();
-    size_t& watermark = state.ship_watermarks[k];
-    if (size > watermark) {
-      std::vector<Tuple> tuples;
-      tuples.reserve(size - watermark);
-      for (size_t i = watermark; i < size; ++i) {
-        const Relation::RowView row = rel->row_view(i);
-        if (row.size() > 0 && row.Equals(0, self_loc)) {
-          tuples.push_back(row.ToTuple());
-        }
-      }
-      watermark = size;
-      if (!tuples.empty()) bundle.emplace_back(pred, std::move(tuples));
-    }
+Result<bool> NodeDatabases::Evaluate(VertexId v, int max_stratum) {
+  EvalContext ctx;
+  ctx.db = &Db(v);
+  ctx.graph = graph_;
+  ctx.local_vertex = v;
+  ctx.max_stratum = max_stratum;
+  Result<bool> evaluated = evaluator_.Evaluate(ctx);
+  if (!evaluated.ok()) {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (first_error_.ok()) first_error_ = evaluated.status();
   }
+  return evaluated;
+}
+
+Status NodeDatabases::status() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return first_error_;
+}
+
+void NodeDatabases::CollectLocal(VertexId v, const std::vector<int>& preds,
+                                 size_t* marks,
+                                 std::optional<ShipRouting> routing,
+                                 ShipBundle* out) const {
+  const Database* db = nodes_[static_cast<size_t>(v)].db.get();
+  if (db == nullptr) return;
+  const Value self(static_cast<int64_t>(v));
+  for (size_t k = 0; k < preds.size(); ++k) {
+    const int pred = preds[k];
+    if (routing && query_->pred(pred).routing != *routing) continue;
+    const Relation* rel = db->RelIfExists(pred);
+    const size_t size = rel == nullptr ? 0 : rel->size();
+    if (size <= marks[k]) continue;
+    std::vector<Tuple> tuples;
+    tuples.reserve(size - marks[k]);
+    for (size_t i = marks[k]; i < size; ++i) {
+      const Relation::RowView row = rel->row_view(i);
+      if (row.size() > 0 && row.Equals(0, self)) {
+        tuples.push_back(row.ToTuple());
+      }
+    }
+    marks[k] = size;
+    if (!tuples.empty()) out->emplace_back(pred, std::move(tuples));
+  }
+}
+
+ShipBundlePtr NodeDatabases::CollectShips(VertexId v,
+                                          std::optional<ShipRouting> routing) {
+  const std::vector<int>& shipped = query_->shipped_preds();
+  ShipBundle bundle;
+  CollectLocal(v, shipped,
+               ship_marks_.data() + static_cast<size_t>(v) * shipped.size(),
+               routing, &bundle);
   if (bundle.empty()) return nullptr;
   return std::make_shared<const ShipBundle>(std::move(bundle));
 }
 
-}  // namespace
-
-ShipBundlePtr CollectShipDelta(const AnalyzedQuery& query,
-                               NodeQueryState& state, VertexId self) {
-  return CollectImpl(query, state, self, nullptr);
+ShipBundle NodeDatabases::CollectCaptureDelta(VertexId v) {
+  const std::vector<int>& outputs = query_->output_preds();
+  ShipBundle delta;
+  CollectLocal(v, outputs,
+               capture_marks_.data() + static_cast<size_t>(v) * outputs.size(),
+               std::nullopt, &delta);
+  return delta;
 }
 
-ShipBundlePtr CollectShipDeltaForRouting(const AnalyzedQuery& query,
-                                         NodeQueryState& state, VertexId self,
-                                         ShipRouting routing) {
-  return CollectImpl(query, state, self, &routing);
+void NodeDatabases::Retain(VertexId v, Superstep step, int window) {
+  Node& node = nodes_[static_cast<size_t>(v)];
+  if (window <= 0 || node.db == nullptr ||
+      step - node.last_retention < 2 * window) {
+    return;
+  }
+  ApplyRetention(*query_, *node.db, step, window);
+  node.last_retention = step;
+}
+
+MergedNodes NodeDatabases::Merge() const {
+  MergedNodes merged;
+  for (const Node& node : nodes_) {
+    if (node.db == nullptr) continue;
+    merged.result.Merge(*query_, *node.db);
+    merged.eval.Merge(node.db->eval_stats());
+    merged.state_bytes += node.db->TotalBytes();
+  }
+  return merged;
 }
 
 void ApplyRetention(const AnalyzedQuery& query, Database& db,

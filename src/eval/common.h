@@ -1,7 +1,10 @@
 #ifndef ARIADNE_EVAL_COMMON_H_
 #define ARIADNE_EVAL_COMMON_H_
 
+#include <limits>
 #include <memory>
+#include <mutex>
+#include <optional>
 #include <vector>
 
 #include "engine/types.h"
@@ -18,45 +21,96 @@ namespace ariadne {
 using ShipBundle = std::vector<std::pair<int, std::vector<Tuple>>>;
 using ShipBundlePtr = std::shared_ptr<const ShipBundle>;
 
-/// Per-provenance-node evaluation state shared by the online wrapper and
-/// the layered query program.
-struct NodeQueryState {
-  std::unique_ptr<Database> db;
-  Superstep last_active = -1;
-  Superstep last_retention = 0;
-  /// Per query->shipped_preds() position: rows already shipped.
-  std::vector<size_t> ship_watermarks;
-  /// Per query->output_preds() position: rows already persisted (capture).
-  std::vector<size_t> capture_watermarks;
-
-  Database& EnsureDb(const AnalyzedQuery& query) {
-    if (db == nullptr) {
-      db = std::make_unique<Database>(&query);
-      ship_watermarks.assign(query.shipped_preds().size(), 0);
-      capture_watermarks.assign(query.output_preds().size(), 0);
-    }
-    return *db;
-  }
+/// Union of a query's derived tables over every provenance node, the
+/// per-rule evaluator counters merged over them, and the resident bytes
+/// of their databases.
+struct MergedNodes {
+  QueryResult result;
+  EvalStats eval;
+  size_t state_bytes = 0;
 };
 
-/// Inserts a bundle's tuples into `db`.
-void DeliverShips(Database& db, const ShipBundle& bundle);
+/// One query's per-provenance-node evaluation state, for every vertex of
+/// the graph: each vertex's Database (created on first use) and its ship,
+/// capture and retention watermarks. Online, layered and naive evaluation
+/// all run a query through this class (paper §5: a database per
+/// provenance node, remote tables shipped along message edges); they
+/// differ only in which facts feed a vertex and when strata synchronize.
+///
+/// A vertex's state must be touched by one thread at a time; distinct
+/// vertices may be used concurrently (the online wrapper calls in from
+/// every engine worker).
+class NodeDatabases {
+ public:
+  /// Both pointers must outlive this object.
+  NodeDatabases(const AnalyzedQuery* query, const Graph* graph);
 
-/// Collects tuples of shipped relations inserted since the node's ship
-/// watermarks, advancing the watermarks. Only tuples *located at* `self`
-/// (column 0) are shipped: remote tuples that arrived via earlier ships
-/// are someone else's partition and must not be re-shipped (distributed
-/// semantics, and the difference between O(E) and epidemic flooding).
-/// Returns nullptr when nothing new.
-ShipBundlePtr CollectShipDelta(const AnalyzedQuery& query,
-                               NodeQueryState& state, VertexId self);
+  /// Drops every vertex's state and the recorded error.
+  void Reset();
 
-/// Like CollectShipDelta, but restricted to shipped predicates with the
-/// given routing (used by layered evaluation, where different routings
-/// target different neighbors).
-ShipBundlePtr CollectShipDeltaForRouting(const AnalyzedQuery& query,
-                                         NodeQueryState& state, VertexId self,
-                                         ShipRouting routing);
+  /// `v`'s database, created on first use.
+  Database& Db(VertexId v);
+
+  /// Inserts a bundle's tuples into `v`'s database.
+  void Deliver(VertexId v, const ShipBundle& bundle);
+
+  /// Runs the stratified evaluator over `v`'s database, strata up to
+  /// `max_stratum`. Returns whether anything new was derived. The first
+  /// error of any vertex is also kept for status().
+  Result<bool> Evaluate(VertexId v,
+                        int max_stratum = std::numeric_limits<int>::max());
+
+  /// First evaluation error of any vertex (OK when none).
+  Status status() const;
+
+  /// Tuples of shipped relations inserted at `v` since the last call,
+  /// advancing `v`'s ship watermarks; nullptr when nothing is new. With a
+  /// `routing`, only the shipped predicates of that class (offline
+  /// evaluation routes each class separately). Only tuples *located at*
+  /// `v` (column 0) ship: remote tuples that arrived via earlier ships
+  /// are someone else's partition and must not be re-shipped (distributed
+  /// semantics, and the difference between O(E) and epidemic flooding).
+  ShipBundlePtr CollectShips(VertexId v,
+                             std::optional<ShipRouting> routing = {});
+
+  /// Output tuples located at `v` derived since the last call, per output
+  /// predicate id, advancing `v`'s capture watermarks. Tuples that arrived
+  /// via ships belong to their own vertex's capture (persisting copies
+  /// would multiply the store by the average degree).
+  ShipBundle CollectCaptureDelta(VertexId v);
+
+  /// Online EDB retention at `v` (see ApplyRetention). Retention rebuilds
+  /// relations (resetting semi-naive watermarks), so it is amortized: the
+  /// history is trimmed every 2*window steps, keeping at most 3*window of
+  /// it — still O(window) memory, without per-step rebuild costs.
+  void Retain(VertexId v, Superstep step, int window);
+
+  MergedNodes Merge() const;
+
+ private:
+  struct Node {
+    std::unique_ptr<Database> db;
+    Superstep last_retention = 0;
+  };
+
+  /// The one self-located-delta loop: appends `v`'s rows of `preds[k]`
+  /// past `marks[k]` whose column 0 is `v` to `out` (keyed by predicate
+  /// id), for the predicates of `routing` (all when unset), and advances
+  /// the marks.
+  void CollectLocal(VertexId v, const std::vector<int>& preds, size_t* marks,
+                    std::optional<ShipRouting> routing, ShipBundle* out) const;
+
+  const AnalyzedQuery* query_;
+  const Graph* graph_;
+  RuleEvaluator evaluator_;
+  std::vector<Node> nodes_;
+  /// Per vertex, per shipped_preds() / output_preds() position: rows
+  /// already shipped / persisted (row-major, one stride per vertex).
+  std::vector<size_t> ship_marks_;
+  std::vector<size_t> capture_marks_;
+  mutable std::mutex mu_;
+  Status first_error_;
+};
 
 /// Drops EDB history older than `window` supersteps from `db` (relations
 /// whose EDB kind has a superstep column). Keeps IDB results intact.

@@ -5,12 +5,6 @@
 
 namespace ariadne {
 
-LayeredEvaluator::LayeredEvaluator(const Graph* graph,
-                                   const ProvenanceStore* store,
-                                   const AnalyzedQuery* query,
-                                   EngineOptions options)
-    : graph_(graph), store_(store), query_(query), options_(options) {}
-
 Result<OfflineRun> LayeredEvaluator::Run() {
   WallTimer timer;
   LayeredQueryRun run(graph_, store_, query_);

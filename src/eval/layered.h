@@ -2,16 +2,15 @@
 #define ARIADNE_EVAL_LAYERED_H_
 
 #include "common/status.h"
-#include "engine/types.h"
 #include "eval/common.h"
 #include "graph/graph.h"
 #include "provenance/store.h"
 
 namespace ariadne {
 
-/// Layered offline evaluation (paper §5.1): the query runs as a vertex
-/// program over the input graph, materializing one provenance-graph layer
-/// per processing step — ascending for forward queries, descending for
+/// Layered offline evaluation (paper §5.1): the query runs per vertex of
+/// the input graph, materializing one provenance-graph layer per
+/// processing step — ascending for forward queries, descending for
 /// backward queries — and shipping remote tables along the recorded
 /// message edges (or static edges for edge-guarded queries). Memory stays
 /// bounded by one layer plus the per-vertex evaluation state, unlike
@@ -26,7 +25,8 @@ class LayeredEvaluator {
   /// `query` must be analyzed offline (transient EDBs disallowed) against
   /// `store->ToStoreSchema()` and pass ValidateMode(kLayered).
   LayeredEvaluator(const Graph* graph, const ProvenanceStore* store,
-                   const AnalyzedQuery* query, EngineOptions options = {});
+                   const AnalyzedQuery* query)
+      : graph_(graph), store_(store), query_(query) {}
 
   Result<OfflineRun> Run();
 
@@ -34,7 +34,6 @@ class LayeredEvaluator {
   const Graph* graph_;
   const ProvenanceStore* store_;
   const AnalyzedQuery* query_;
-  EngineOptions options_;
 };
 
 }  // namespace ariadne

@@ -15,48 +15,6 @@ void SortUnique(std::vector<VertexId>& ids) {
 
 }  // namespace
 
-// ---- LayerView ----
-
-bool LayerView::HasRel(int rel) const {
-  if (rels.empty()) return true;
-  return std::binary_search(rels.begin(), rels.end(), rel);
-}
-
-bool LayerView::Covers(const std::vector<int>& needed) const {
-  if (rels.empty()) return true;   // view holds every relation
-  if (needed.empty()) return false;  // query reads all, view is partial
-  return std::includes(rels.begin(), rels.end(), needed.begin(),
-                       needed.end());
-}
-
-std::shared_ptr<const LayerView> BuildLayerView(
-    std::shared_ptr<const Layer> layer, int step, int send_rel,
-    int receive_rel, std::vector<int> rels) {
-  auto view = std::make_shared<LayerView>();
-  view->step = step;
-  view->layer = std::move(layer);
-  view->rels = std::move(rels);
-  for (const auto& slice : view->layer->slices) {
-    view->by_vertex[slice.vertex].push_back(&slice);
-    // The layer's recorded message edges, for ship routing.
-    if (slice.rel == send_rel) {
-      auto& targets = view->route_out[slice.vertex];
-      for (const Tuple& t : slice.tuples) {
-        if (t.size() > 1 && t[1].is_int()) targets.push_back(t[1].AsInt());
-      }
-    } else if (slice.rel == receive_rel) {
-      auto& sources = view->route_in[slice.vertex];
-      for (const Tuple& t : slice.tuples) {
-        if (t.size() > 1 && t[1].is_int()) sources.push_back(t[1].AsInt());
-      }
-    }
-  }
-  for (auto* index : {&view->route_out, &view->route_in}) {
-    for (auto& [vertex, targets] : *index) SortUnique(targets);
-  }
-  return view;
-}
-
 // ---- AdjacencyCache ----
 
 AdjacencyCache::AdjacencyCache(const Graph* graph) : graph_(graph) {
@@ -68,13 +26,7 @@ AdjacencyCache::AdjacencyCache(const Graph* graph) : graph_(graph) {
 
 void AdjacencyCache::Precompute() {
   for (int plane = 0; plane < 3; ++plane) {
-    for (VertexId v = 0; v < graph_->num_vertices(); ++v) {
-      // Sequential whole-graph sweep: with a paged graph backend this
-      // hint overlaps the next partition's fault with this one's fills
-      // (no-op for the in-memory backend).
-      graph_->AdviseSequentialScan(v);
-      Fill(plane, v);
-    }
+    for (VertexId v = 0; v < graph_->num_vertices(); ++v) Fill(plane, v);
   }
   precomputed_ = true;
 }
@@ -85,6 +37,10 @@ void AdjacencyCache::Fill(int plane, VertexId v) {
   uint8_t& filled =
       filled_[static_cast<size_t>(plane)][static_cast<size_t>(v)];
   if (filled) return;
+  // Fills mostly come in ascending vertex order (Precompute's sweep, the
+  // step loops); with a paged graph backend this hint overlaps the next
+  // partition's fault with this one's fills (no-op in memory).
+  graph_->AdviseSequentialScan(v);
   if (plane != 2) {
     auto nbrs = graph_->OutNeighbors(v);
     slot.insert(slot.end(), nbrs.begin(), nbrs.end());
@@ -110,6 +66,132 @@ size_t AdjacencyCache::MemoryBytes() const {
   return bytes;
 }
 
+// ---- ShipRoutes ----
+
+void ShipRoutes::Add(const LayerSlice& slice) {
+  if (slice.rel != send_rel_ && slice.rel != receive_rel_) return;
+  auto& peers = (slice.rel == send_rel_ ? out_ : in_)[slice.vertex];
+  for (const Tuple& t : slice.tuples) {
+    if (t.size() > 1 && t[1].is_int()) peers.push_back(t[1].AsInt());
+  }
+}
+
+void ShipRoutes::Seal() {
+  for (auto* index : {&out_, &in_}) {
+    for (auto& [vertex, peers] : *index) SortUnique(peers);
+  }
+}
+
+std::span<const VertexId> ShipRoutes::Targets(
+    VertexId v, ShipRouting routing, AdjacencyCache& adjacency) const {
+  if (routing == ShipRouting::kAlongOutEdges) return adjacency.Get(1, v);
+  if (routing == ShipRouting::kAlongInEdges) return adjacency.Get(2, v);
+  const bool out = routing == ShipRouting::kAlongMessages;
+  if ((out ? send_rel_ : receive_rel_) < 0) return adjacency.Get(0, v);
+  const auto& index = out ? out_ : in_;
+  auto it = index.find(v);
+  if (it == index.end()) return {};
+  return it->second;
+}
+
+// ---- LayerView ----
+
+bool LayerView::HasRel(int rel) const {
+  if (rels.empty()) return true;
+  return std::binary_search(rels.begin(), rels.end(), rel);
+}
+
+bool LayerView::Covers(const std::vector<int>& needed) const {
+  if (rels.empty()) return true;   // view holds every relation
+  if (needed.empty()) return false;  // query reads all, view is partial
+  return std::includes(rels.begin(), rels.end(), needed.begin(),
+                       needed.end());
+}
+
+std::shared_ptr<const LayerView> BuildLayerView(
+    std::shared_ptr<const Layer> layer, int step, int send_rel,
+    int receive_rel, std::vector<int> rels) {
+  auto view = std::make_shared<LayerView>();
+  view->step = step;
+  view->layer = std::move(layer);
+  view->rels = std::move(rels);
+  view->routes = ShipRoutes(send_rel, receive_rel);
+  for (const auto& slice : view->layer->slices) {
+    view->by_vertex[slice.vertex].push_back(&slice);
+    view->routes.Add(slice);
+  }
+  view->routes.Seal();
+  return view;
+}
+
+// ---- OfflineNodes ----
+
+OfflineNodes::OfflineNodes(const Graph* graph, const ProvenanceStore* store,
+                           const AnalyzedQuery* query,
+                           AdjacencyCache* adjacency)
+    : graph_(graph),
+      query_(query),
+      nodes_(query, graph),
+      adjacency_(adjacency) {
+  // Stored relation -> query predicate resolution (by name).
+  rel_to_pred_.resize(store->schema().size(), -1);
+  for (size_t r = 0; r < store->schema().size(); ++r) {
+    rel_to_pred_[r] = query->PredId(store->schema()[r].name);
+  }
+  if (adjacency_ == nullptr) {
+    owned_adjacency_ = std::make_unique<AdjacencyCache>(graph);
+    adjacency_ = owned_adjacency_.get();
+  }
+}
+
+void OfflineNodes::Reset() {
+  nodes_.Reset();
+  inbox_.clear();
+  next_inbox_.clear();
+}
+
+void OfflineNodes::InsertSlice(const LayerSlice& slice) {
+  const int pred = PredOf(slice.rel);
+  if (pred < 0) return;  // relation not referenced by this query
+  Relation& rel = nodes_.Db(slice.vertex).Rel(pred);
+  for (const Tuple& t : slice.tuples) rel.Insert(t);
+}
+
+void OfflineNodes::Barrier() {
+  inbox_ = std::move(next_inbox_);
+  next_inbox_.clear();
+}
+
+bool OfflineNodes::StepVertex(VertexId v,
+                              std::span<const LayerSlice* const> facts,
+                              const ShipRoutes& routes, int max_stratum) {
+  if (auto it = inbox_.find(v); it != inbox_.end()) {
+    for (const ShipBundlePtr& ships : it->second) nodes_.Deliver(v, *ships);
+  }
+  for (const LayerSlice* slice : facts) InsertSlice(*slice);
+  Result<bool> evaluated = nodes_.Evaluate(v, max_stratum);
+  if (!evaluated.ok()) return false;
+  bool progress = *evaluated;
+  if (query_->shipped_preds().empty()) return progress;
+  for (ShipRouting routing :
+       {ShipRouting::kAlongMessages, ShipRouting::kAlongReverseMessages,
+        ShipRouting::kAlongOutEdges, ShipRouting::kAlongInEdges}) {
+    ShipBundlePtr bundle = nodes_.CollectShips(v, routing);
+    if (bundle == nullptr) continue;
+    progress = true;
+    for (VertexId target : routes.Targets(v, routing, *adjacency_)) {
+      next_inbox_[target].push_back(bundle);
+    }
+  }
+  return progress;
+}
+
+Status OfflineNodes::BackendStatus(const std::string& where) const {
+  Status error = graph_->backend_error();
+  if (error.ok()) return error;
+  return error.WithContext("graph backend failed during " + where);
+}
+
 // ---- LayeredQueryRun ----
 
 LayeredQueryRun::LayeredQueryRun(const Graph* graph,
@@ -119,14 +201,8 @@ LayeredQueryRun::LayeredQueryRun(const Graph* graph,
     : graph_(graph),
       store_(store),
       query_(query),
-      evaluator_(query),
-      adjacency_(adjacency) {
+      core_(graph, store, query, adjacency) {
   descending_ = query_->direction() == Direction::kBackward;
-  // Stored relation -> query predicate resolution (by name).
-  rel_to_pred_.resize(store_->schema().size(), -1);
-  for (size_t r = 0; r < store_->schema().size(); ++r) {
-    rel_to_pred_[r] = query_->PredId(store_->schema()[r].name);
-  }
   // Ship routing follows the *recorded* message edges of the store,
   // independent of whether the query itself reads them.
   send_rel_ = store_->RelId("send-message");
@@ -136,19 +212,17 @@ LayeredQueryRun::LayeredQueryRun(const Graph* graph,
   // v" gate below — are restricted to them, so a shared LayerView built
   // for a relation *superset* still evaluates exactly the vertices a
   // private needed-rels-only view would.
-  for (size_t r = 0; r < rel_to_pred_.size(); ++r) {
-    if (RelMatters(static_cast<int>(r))) {
-      needed_rels_.push_back(static_cast<int>(r));
-    }
+  const int num_rels = static_cast<int>(store_->schema().size());
+  for (int r = 0; r < num_rels; ++r) {
+    if (RelMatters(r)) needed_rels_.push_back(r);
   }
-  if (needed_rels_.size() == rel_to_pred_.size()) {
+  if (static_cast<int>(needed_rels_.size()) == num_rels) {
     needed_rels_.clear();  // all relations: no point filtering
   }
 }
 
 bool LayeredQueryRun::RelMatters(int rel) const {
-  return rel_to_pred_[static_cast<size_t>(rel)] >= 0 || rel == send_rel_ ||
-         rel == receive_rel_;
+  return core_.PredOf(rel) >= 0 || rel == send_rel_ || rel == receive_rel_;
 }
 
 Status LayeredQueryRun::Init() {
@@ -161,21 +235,13 @@ Status LayeredQueryRun::Init() {
   }
   total_steps_ = store_->num_layers();
   processing_step_ = 0;
-  if (adjacency_ == nullptr) {
-    owned_adjacency_ = std::make_unique<AdjacencyCache>(graph_);
-    adjacency_ = owned_adjacency_.get();
-  }
-  states_.clear();
-  states_.resize(static_cast<size_t>(graph_->num_vertices()));
+  core_.Reset();
   // Index the static segment once.
   static_index_.clear();
   for (const auto& slice : store_->static_data().slices) {
     static_index_[slice.vertex].push_back(&slice);
   }
-  inbox_.clear();
-  next_inbox_.clear();
   peak_layer_bytes_ = 0;
-  first_error_ = Status::OK();
   return Status::OK();
 }
 
@@ -188,36 +254,6 @@ int LayeredQueryRun::LayerStepAfterNext() const {
   if (processing_step_ + 1 >= total_steps_) return -1;
   return descending_ ? total_steps_ - 2 - processing_step_
                      : processing_step_ + 1;
-}
-
-void LayeredQueryRun::InsertSlice(Database& db, const LayerSlice& slice) {
-  const int pred = rel_to_pred_[static_cast<size_t>(slice.rel)];
-  if (pred < 0) return;  // relation not referenced by this query
-  Relation& rel = db.Rel(pred);
-  for (const Tuple& t : slice.tuples) rel.Insert(t);
-}
-
-std::span<const VertexId> LayeredQueryRun::RoutingTargets(
-    VertexId v, ShipRouting routing, const LayerView& view) {
-  const bool along_messages = routing == ShipRouting::kAlongMessages ||
-                              routing == ShipRouting::kAlongReverseMessages;
-  if (along_messages) {
-    const auto& index = routing == ShipRouting::kAlongMessages
-                            ? view.route_out
-                            : view.route_in;
-    const int rel = routing == ShipRouting::kAlongMessages ? send_rel_
-                                                           : receive_rel_;
-    if (rel >= 0) {
-      auto it = index.find(v);
-      if (it == index.end()) return {};
-      return it->second;
-    }
-    // Store lacks message records: conservative static fallback —
-    // overshipping is safe (receivers merely hold extra copies),
-    // undershipping is not.
-    return adjacency_->Get(0, v);
-  }
-  return adjacency_->Get(routing == ShipRouting::kAlongOutEdges ? 1 : 2, v);
 }
 
 Status LayeredQueryRun::Step(const LayerView& view) {
@@ -235,8 +271,7 @@ Status LayeredQueryRun::Step(const LayerView& view) {
   peak_layer_bytes_ = std::max(peak_layer_bytes_, view.layer->byte_size);
 
   // Ships sent during the previous step arrive at this one's barrier.
-  inbox_ = std::move(next_inbox_);
-  next_inbox_.clear();
+  core_.Barrier();
 
   // The BSP engine ran Compute for every vertex each superstep, but a
   // vertex that received nothing and has no new facts returned before
@@ -250,7 +285,7 @@ Status LayeredQueryRun::Step(const LayerView& view) {
       active[static_cast<size_t>(v)] = v;
     }
   } else {
-    for (const auto& [v, ships] : inbox_) active.push_back(v);
+    for (const auto& [v, ships] : core_.inbox()) active.push_back(v);
     for (const auto& [v, slices] : view.by_vertex) {
       // A shared superset view may hold slices of relations this query
       // never reads; they must not count as "touched".
@@ -265,80 +300,43 @@ Status LayeredQueryRun::Step(const LayerView& view) {
   }
 
   for (VertexId v : active) {
-    NodeQueryState& st = states_[static_cast<size_t>(v)];
-    Database& db = st.EnsureDb(*query_);
-
-    bool touched = false;
-    if (auto it = inbox_.find(v); it != inbox_.end()) {
-      for (const ShipBundlePtr& ships : it->second) {
-        DeliverShips(db, *ships);
-        touched = true;
-      }
-    }
-    // Static facts on first activation.
+    // This layer's facts for v (InsertSlice skips relations the query
+    // does not read), after the static segment on the first step.
+    std::span<const LayerSlice* const> facts;
+    auto it = view.by_vertex.find(v);
     if (step == 0) {
-      auto it = static_index_.find(v);
-      if (it != static_index_.end()) {
-        for (const LayerSlice* slice : it->second) InsertSlice(db, *slice);
-        touched = true;
+      facts_.clear();
+      if (auto s = static_index_.find(v); s != static_index_.end()) {
+        facts_ = s->second;
       }
-    }
-    // This layer's facts for v.
-    if (auto it = view.by_vertex.find(v); it != view.by_vertex.end()) {
-      for (const LayerSlice* slice : it->second) {
-        if (!RelMatters(slice->rel)) continue;
-        InsertSlice(db, *slice);
-        touched = true;
+      if (it != view.by_vertex.end()) {
+        facts_.insert(facts_.end(), it->second.begin(), it->second.end());
       }
+      facts = facts_;
+    } else if (it != view.by_vertex.end()) {
+      facts = it->second;
     }
-    if (!touched && step > 0) continue;  // nothing new for v
-
-    EvalContext ectx;
-    ectx.db = &db;
-    ectx.graph = graph_;
-    ectx.local_vertex = v;
-    auto evaluated = evaluator_.Evaluate(ectx);
-    if (!evaluated.ok()) {
-      if (first_error_.ok()) first_error_ = evaluated.status();
-      continue;
-    }
-
-    // Route fresh ship deltas per routing class.
-    if (query_->shipped_preds().empty()) continue;
-    for (ShipRouting routing :
-         {ShipRouting::kAlongMessages, ShipRouting::kAlongReverseMessages,
-          ShipRouting::kAlongOutEdges, ShipRouting::kAlongInEdges}) {
-      ShipBundlePtr bundle =
-          CollectShipDeltaForRouting(*query_, st, v, routing);
-      if (bundle == nullptr) continue;
-      for (VertexId target : RoutingTargets(v, routing, view)) {
-        next_inbox_[target].push_back(bundle);
-      }
-    }
+    core_.StepVertex(v, facts, view.routes);
   }
 
   ++processing_step_;
-  return Status::OK();
+  return core_.BackendStatus("layered step " + std::to_string(step));
 }
 
 Result<OfflineRun> LayeredQueryRun::Finish(double seconds) {
   if (!done()) {
     return Status::InvalidArgument("layered run has unprocessed layers");
   }
-  ARIADNE_RETURN_NOT_OK(first_error_);
+  ARIADNE_RETURN_NOT_OK(core_.nodes().status());
 
+  MergedNodes merged = core_.nodes().Merge();
   OfflineRun run;
-  size_t state_bytes = 0;
-  for (const auto& state : states_) {
-    if (state.db == nullptr) continue;
-    run.result.Merge(*query_, *state.db);
-    run.stats.eval.Merge(state.db->eval_stats());
-    state_bytes += state.db->TotalBytes();
-  }
+  run.result = std::move(merged.result);
+  run.stats.eval = std::move(merged.eval);
   run.stats.seconds = seconds;
   run.stats.supersteps = total_steps_;
   run.stats.peak_layer_bytes = peak_layer_bytes_;
-  run.stats.materialized_bytes = state_bytes + peak_layer_bytes_;
+  run.stats.materialized_bytes = merged.state_bytes + peak_layer_bytes_;
   run.stats.result_tuples = run.result.TotalTuples();
   return run;
 }

@@ -1,7 +1,10 @@
 #ifndef ARIADNE_EVAL_LAYERED_STEP_H_
 #define ARIADNE_EVAL_LAYERED_STEP_H_
 
+#include <limits>
 #include <memory>
+#include <span>
+#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -13,9 +16,42 @@
 
 namespace ariadne {
 
+class AdjacencyCache;
+
+/// Where a vertex's ship deltas go: the recorded message edges
+/// (send-message targets and receive-message sources per vertex,
+/// sorted-unique) of one layer — a LayerView's — or of every layer at
+/// once, for naive evaluation.
+class ShipRoutes {
+ public:
+  /// The store's message-edge relation ids (-1 when not captured).
+  ShipRoutes(int send_rel, int receive_rel)
+      : send_rel_(send_rel), receive_rel_(receive_rel) {}
+
+  /// Records `slice`'s message edges, if it holds a message-edge relation.
+  void Add(const LayerSlice& slice);
+  /// Sorts and dedups every list; call once after the last Add.
+  void Seal();
+
+  /// Targets of `v`'s deltas of one routing class: the recorded message
+  /// edges in the class's direction, or static adjacency for edge-guarded
+  /// rules and for stores that lack message records (a conservative
+  /// fallback: overshipping is safe — receivers merely hold extra copies —
+  /// undershipping is not). Spans stay valid while this object and
+  /// `adjacency` live unmodified.
+  std::span<const VertexId> Targets(VertexId v, ShipRouting routing,
+                                    AdjacencyCache& adjacency) const;
+
+ private:
+  int send_rel_;
+  int receive_rel_;
+  std::unordered_map<VertexId, std::vector<VertexId>> out_;
+  std::unordered_map<VertexId, std::vector<VertexId>> in_;
+};
+
 /// Query-independent derived view of one provenance layer: the decoded
-/// layer plus the per-vertex slice index and the ship-routing maps along
-/// the recorded message edges. Building one of these is the expensive
+/// layer plus the per-vertex slice index and the ship routes along the
+/// layer's recorded message edges. Building one of these is the expensive
 /// part of a layered processing step (page read + decompress + index);
 /// it depends only on (layer, relation subset), never on the query, so
 /// the serve scheduler builds it ONCE per layer group and fans the same
@@ -31,10 +67,8 @@ struct LayerView {
   std::vector<int> rels;
   /// vertex -> its slices in this layer (pointers into `layer`).
   std::unordered_map<VertexId, std::vector<const LayerSlice*>> by_vertex;
-  /// This layer's recorded message edges, sorted-unique per vertex:
-  /// send-message targets / receive-message sources, for ship routing.
-  std::unordered_map<VertexId, std::vector<VertexId>> route_out;
-  std::unordered_map<VertexId, std::vector<VertexId>> route_in;
+  /// This layer's recorded message edges, for ship routing.
+  ShipRoutes routes{-1, -1};
 
   /// True when the view materializes `rel` (empty rels = all).
   bool HasRel(int rel) const;
@@ -69,7 +103,6 @@ class AdjacencyCache {
   /// Eagerly fills every plane; afterwards the cache is read-only and
   /// shareable across threads.
   void Precompute();
-  bool precomputed() const { return precomputed_; }
 
   std::span<const VertexId> Get(int plane, VertexId v);
 
@@ -83,6 +116,69 @@ class AdjacencyCache {
   bool precomputed_ = false;
   std::vector<std::vector<std::vector<VertexId>>> planes_;
   std::vector<std::vector<uint8_t>> filled_;
+};
+
+/// The shared core of offline (layered and naive) evaluation: the
+/// per-vertex databases plus the ships in flight between round barriers.
+/// A driver feeds facts and calls StepVertex for each vertex it activates,
+/// in ascending vertex order, with Barrier() between rounds: the schedule
+/// the BSP engine ran at one thread (ships delivered at the barrier in
+/// sender order). The drivers differ only in which facts feed a vertex
+/// (one layer per step, or everything up front) and in when strata
+/// synchronize.
+class OfflineNodes {
+ public:
+  using Inbox = std::unordered_map<VertexId, std::vector<ShipBundlePtr>>;
+
+  /// `adjacency` may be shared across concurrent users only when
+  /// precomputed; nullptr makes this object own a lazily filled private
+  /// cache. All pointers must outlive this object.
+  OfflineNodes(const Graph* graph, const ProvenanceStore* store,
+               const AnalyzedQuery* query, AdjacencyCache* adjacency);
+
+  /// Drops all per-vertex state and every ship in flight.
+  void Reset();
+
+  /// The query predicate store relation `rel` feeds, or -1 when the
+  /// query does not read it.
+  int PredOf(int rel) const { return rel_to_pred_[static_cast<size_t>(rel)]; }
+
+  /// Inserts `slice`'s tuples into its vertex's database (no-op for a
+  /// relation the query does not read).
+  void InsertSlice(const LayerSlice& slice);
+
+  /// Round barrier: the ships queued since the previous barrier become
+  /// deliverable.
+  void Barrier();
+  /// Deliverable ships per target (unordered map; sender order within).
+  const Inbox& inbox() const { return inbox_; }
+
+  /// One vertex's share of a round: delivers its ships in sender order,
+  /// inserts `facts`, evaluates strata up to `max_stratum`, and queues its
+  /// new self-located shipped rows for the next barrier, per routing
+  /// class, along `routes`. Returns whether the vertex derived or shipped
+  /// anything. Evaluation errors are kept in nodes().status().
+  bool StepVertex(VertexId v, std::span<const LayerSlice* const> facts,
+                  const ShipRoutes& routes,
+                  int max_stratum = std::numeric_limits<int>::max());
+
+  /// The graph backend's sticky error, with `where` as context. A paged
+  /// backend serves an empty span when a partition read fails, so an
+  /// unchecked failure reads as missing edges; drivers check after every
+  /// step or round.
+  Status BackendStatus(const std::string& where) const;
+
+  const NodeDatabases& nodes() const { return nodes_; }
+
+ private:
+  const Graph* graph_;
+  const AnalyzedQuery* query_;
+  std::vector<int> rel_to_pred_;
+  NodeDatabases nodes_;
+  Inbox inbox_;
+  Inbox next_inbox_;
+  AdjacencyCache* adjacency_;
+  std::unique_ptr<AdjacencyCache> owned_adjacency_;
 };
 
 /// One query's layered evaluation, resumable in layer-sized steps — the
@@ -130,7 +226,7 @@ class LayeredQueryRun {
   /// Processes one layer. `view.step` must equal NextLayerStep() and
   /// `view` must Cover(needed_rels()). Only this query's private state
   /// is mutated — concurrent Steps of different runs over one shared
-  /// view are race-free.
+  /// view are race-free. Fails when the graph backend reported an error.
   Status Step(const LayerView& view);
 
   /// Collects the result and statistics. `seconds` is the caller-timed
@@ -139,34 +235,23 @@ class LayeredQueryRun {
 
  private:
   bool RelMatters(int rel) const;
-  void InsertSlice(Database& db, const LayerSlice& slice);
-  std::span<const VertexId> RoutingTargets(VertexId v, ShipRouting routing,
-                                           const LayerView& view);
 
   const Graph* graph_;
   const ProvenanceStore* store_;
   const AnalyzedQuery* query_;
-  RuleEvaluator evaluator_;
+  OfflineNodes core_;
   bool descending_ = false;
   int total_steps_ = 0;
   int processing_step_ = 0;
 
-  std::vector<int> rel_to_pred_;
   int send_rel_ = -1, receive_rel_ = -1;
   std::vector<int> needed_rels_;
 
-  std::vector<NodeQueryState> states_;
   std::unordered_map<VertexId, std::vector<const LayerSlice*>> static_index_;
-  /// Ships delivered at the next step's barrier, per target, in sender
-  /// order (the engine's deterministic delivery order).
-  std::unordered_map<VertexId, std::vector<ShipBundlePtr>> inbox_;
-  std::unordered_map<VertexId, std::vector<ShipBundlePtr>> next_inbox_;
-
-  AdjacencyCache* adjacency_;
-  std::unique_ptr<AdjacencyCache> owned_adjacency_;
+  /// Step 0's facts of one vertex (static segment, then the layer).
+  std::vector<const LayerSlice*> facts_;
 
   size_t peak_layer_bytes_ = 0;
-  Status first_error_;
 };
 
 }  // namespace ariadne

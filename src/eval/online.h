@@ -145,7 +145,7 @@ class OnlineProgram final
         query_(query),
         graph_(graph),
         options_(options),
-        evaluator_(query) {
+        nodes_(query, graph) {
     value_pred_ = query_->PredId("value");
     vertex_value_now_pred_ = query_->PredId("vertex-value");
     superstep_pred_ = query_->PredId("superstep");
@@ -155,9 +155,10 @@ class OnlineProgram final
     receive_pred_ = query_->PredId("receive-message");
     receive_now_pred_ = query_->PredId("receive");
     if (options_.store != nullptr) {
+      capture_rels_.assign(static_cast<size_t>(query_->num_preds()), -1);
       for (int pred : query_->output_preds()) {
-        capture_rels_.push_back(options_.store->AddRelation(
-            query_->pred(pred).name, query_->pred(pred).arity));
+        capture_rels_[static_cast<size_t>(pred)] = options_.store->AddRelation(
+            query_->pred(pred).name, query_->pred(pred).arity);
       }
       skeleton_superstep_rel_ = options_.store->AddRelation("superstep", 2);
       skeleton_evolution_rel_ = options_.store->AddRelation("evolution", 3);
@@ -173,8 +174,7 @@ class OnlineProgram final
   void RegisterAggregators(AggregatorRegistry& registry) override {
     analytic_->RegisterAggregators(registry);
     // Run start: reset wrapper state.
-    states_.clear();
-    states_.resize(static_cast<size_t>(graph_->num_vertices()));
+    nodes_.Reset();
     last_active_.assign(static_cast<size_t>(graph_->num_vertices()), -1);
     current_layer_ = Layer{};
     first_error_ = Status::OK();
@@ -246,40 +246,19 @@ class OnlineProgram final
 
   // ---- Results ----
 
-  /// Union of the query's derived tables across all vertices.
-  QueryResult CollectResult() const {
-    QueryResult result;
-    for (const auto& state : states_) {
-      if (state.db != nullptr) result.Merge(*query_, *state.db);
-    }
-    return result;
-  }
+  /// The per-vertex query databases (transient provenance); Merge() gives
+  /// the query's tables, evaluator counters and bytes.
+  const NodeDatabases& nodes() const { return nodes_; }
 
-  /// Per-rule evaluator counters, merged across all vertices.
-  EvalStats CollectEvalStats() const {
-    EvalStats merged;
-    for (const auto& state : states_) {
-      if (state.db != nullptr) merged.Merge(state.db->eval_stats());
-    }
-    return merged;
+  /// First capture-append or evaluation error (OK when the run was clean).
+  Status status() const {
+    return first_error_.ok() ? nodes_.status() : first_error_;
   }
-
-  /// First evaluation error encountered (OK when the run was clean).
-  const Status& status() const { return first_error_; }
 
   /// True when a storage failure downgraded the capture mid-run (the
   /// analytic itself completed exactly; only the store is partial).
   bool capture_degraded() const { return capture_degraded_; }
   Superstep capture_degraded_at() const { return capture_degraded_at_; }
-
-  /// Bytes held by per-vertex query databases (transient provenance).
-  size_t TransientBytes() const {
-    size_t bytes = 0;
-    for (const auto& state : states_) {
-      if (state.db != nullptr) bytes += state.db->TotalBytes();
-    }
-    return bytes;
-  }
 
   // ---- Checkpoint hooks (engine barrier; no worker concurrency) ----
 
@@ -531,10 +510,6 @@ class OnlineProgram final
     VertexContext<V, WrappedMessage>* real_;
   };
 
-  NodeQueryState& state(VertexId v) {
-    return states_[static_cast<size_t>(v)];
-  }
-
   /// Generic path: materialize this step's EDB facts, deliver arrived
   /// ships, run the stratified evaluator, collect ship deltas, persist
   /// capture deltas.
@@ -543,8 +518,7 @@ class OnlineProgram final
                                 std::span<const WrappedMessage> messages) {
     const VertexId v = ctx.id();
     const Superstep step = ctx.superstep();
-    NodeQueryState& st = state(v);
-    Database& db = st.EnsureDb(*query_);
+    Database& db = nodes_.Db(v);
     const Value loc(static_cast<int64_t>(v));
     const Value step_v(static_cast<int64_t>(step));
 
@@ -561,7 +535,7 @@ class OnlineProgram final
 
     // Arrived ships + receive facts.
     for (const auto& m : messages) {
-      if (m.ships != nullptr) DeliverShips(db, *m.ships);
+      if (m.ships != nullptr) nodes_.Deliver(v, *m.ships);
       if (receive_pred_ >= 0 || receive_now_pred_ >= 0) {
         Value payload = ValueTraits<M>::ToValue(m.payload);
         if (receive_pred_ >= 0) {
@@ -608,70 +582,29 @@ class OnlineProgram final
       }
     }
 
-    // Stratified fixpoint over this node's database.
-    EvalContext ectx;
-    ectx.db = &db;
-    ectx.graph = graph_;
-    ectx.local_vertex = v;
-    auto evaluated = evaluator_.Evaluate(ectx);
-    if (!evaluated.ok()) {
-      std::lock_guard<std::mutex> lock(mu_);
-      if (first_error_.ok()) first_error_ = evaluated.status();
-    }
+    // Stratified fixpoint over this node's database (errors are kept by
+    // nodes_ and reported through status()).
+    (void)nodes_.Evaluate(v);
 
     // Ship deltas leave only when the analytic actually sends (the
     // receive-message guard means nobody can reference them otherwise).
     ShipBundlePtr ships;
-    if (!adapter.sends.empty()) {
-      ships = CollectShipDelta(*query_, st, v);
-    }
+    if (!adapter.sends.empty()) ships = nodes_.CollectShips(v);
 
-    if (options_.store != nullptr) PersistCaptureDeltas(st, v, prev, step);
+    if (options_.store != nullptr) PersistCaptureDeltas(v, prev, step);
 
-    // Retention rebuilds relations (resetting semi-naive watermarks), so
-    // amortize it: trim every 2*window steps, keeping at most 3*window of
-    // history — still O(window) memory, without per-step rebuild costs.
-    if (options_.retention_window > 0 &&
-        step - st.last_retention >= 2 * options_.retention_window) {
-      ApplyRetention(*query_, db, step, options_.retention_window);
-      st.last_retention = step;
-    }
+    nodes_.Retain(v, step, options_.retention_window);
     return ships;
   }
 
-  /// Appends newly derived output tuples (and the superstep/evolution
-  /// skeleton) of vertex `v` to the current layer. Only tuples located at
-  /// `v` are persisted: tuples that arrived via ships belong to their own
-  /// vertex's layer slices (persisting copies would multiply the store by
-  /// the average degree).
-  void PersistCaptureDeltas(NodeQueryState& st, VertexId v, Superstep prev,
-                            Superstep step) {
-    const auto& outputs = query_->output_preds();
-    const Value self_loc(static_cast<int64_t>(v));
-    std::vector<std::pair<int, std::vector<Tuple>>> deltas;
-    for (size_t k = 0; k < outputs.size(); ++k) {
-      const Relation* rel = st.db->RelIfExists(outputs[k]);
-      const size_t size = rel == nullptr ? 0 : rel->size();
-      size_t& watermark = st.capture_watermarks[k];
-      if (size > watermark) {
-        std::vector<Tuple> local;
-        local.reserve(size - watermark);
-        for (size_t i = watermark; i < size; ++i) {
-          const Relation::RowView row = rel->row_view(i);
-          if (row.size() > 0 && row.Equals(0, self_loc)) {
-            local.push_back(row.ToTuple());
-          }
-        }
-        watermark = size;
-        if (!local.empty()) {
-          deltas.emplace_back(static_cast<int>(k), std::move(local));
-        }
-      }
-    }
+  /// Appends vertex `v`'s newly derived output tuples located at `v` (and
+  /// the superstep/evolution skeleton) to the current layer.
+  void PersistCaptureDeltas(VertexId v, Superstep prev, Superstep step) {
+    ShipBundle deltas = nodes_.CollectCaptureDelta(v);
     if (deltas.empty()) return;
     std::lock_guard<std::mutex> lock(mu_);
-    for (auto& [k, tuples] : deltas) {
-      current_layer_.Add(capture_rels_[static_cast<size_t>(k)], v,
+    for (auto& [pred, tuples] : deltas) {
+      current_layer_.Add(capture_rels_[static_cast<size_t>(pred)], v,
                          std::move(tuples));
     }
     AppendSkeletonLocked(v, prev, step);
@@ -802,16 +735,12 @@ class OnlineProgram final
     AppendSkeletonLocked(v, last_active_[static_cast<size_t>(v)], step);
   }
 
-  /// Store relation id for fast-capture projection `pi` (its head pred's
-  /// position among the query outputs).
+  /// Store relation id for fast-capture projection `pi` (its head pred's).
   int FastCaptureRel(size_t pi) const {
     const int head = (*query_->fast_capture()).projections[pi].head_pred;
-    const auto& outputs = query_->output_preds();
-    for (size_t k = 0; k < outputs.size(); ++k) {
-      if (outputs[k] == head) return capture_rels_[k];
-    }
-    ARIADNE_CHECK(false);
-    return -1;
+    const int rel = capture_rels_[static_cast<size_t>(head)];
+    ARIADNE_CHECK(rel >= 0);
+    return rel;
   }
 
   /// Projects static (edge-sourced) capture rules into the store's static
@@ -845,22 +774,21 @@ class OnlineProgram final
   const AnalyzedQuery* query_;
   const Graph* graph_;
   OnlineOptions options_;
-  RuleEvaluator evaluator_;
+  NodeDatabases nodes_;
 
   int value_pred_ = -1, vertex_value_now_pred_ = -1;
   int superstep_pred_ = -1, evolution_pred_ = -1;
   int send_pred_ = -1, send_now_pred_ = -1;
   int receive_pred_ = -1, receive_now_pred_ = -1;
 
-  std::vector<NodeQueryState> states_;
   std::vector<Superstep> last_active_;
-  std::vector<int> capture_rels_;  ///< store rel per output pred position
+  std::vector<int> capture_rels_;  ///< store rel per output pred id, or -1
   int skeleton_superstep_rel_ = -1;
   int skeleton_evolution_rel_ = -1;
 
   std::mutex mu_;
   Layer current_layer_;
-  Status first_error_;
+  Status first_error_;  ///< first capture-append failure (under mu_)
   bool capture_degraded_ = false;
   Superstep capture_degraded_at_ = -1;
   bool capture_off_ = false;          ///< degraded, kCaptureOff

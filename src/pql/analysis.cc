@@ -53,7 +53,6 @@ std::string AnalyzedQuery::DebugString() const {
 
 namespace {
 struct AnalyzerOutputs {
-  AnalyzeOptions options;
   std::vector<PredicateInfo> preds;
   std::vector<CompiledRule> rules;  // sorted by stratum
   int num_strata = 1;
@@ -68,7 +67,6 @@ class AnalyzedQueryBuilder {
  public:
   static AnalyzedQuery Build(AnalyzerOutputs outputs) {
     AnalyzedQuery out;
-    out.options_ = outputs.options;
     out.preds_ = std::move(outputs.preds);
     out.rules_ = std::move(outputs.rules);
     out.num_strata_ = outputs.num_strata;
@@ -211,7 +209,6 @@ class Analyzer {
                        return a.stratum < b.stratum;
                      });
     AnalyzerOutputs outputs;
-    outputs.options = options_;
     outputs.preds = std::move(preds_);
     outputs.rules = std::move(rules_);
     outputs.num_strata = num_strata_;

@@ -152,11 +152,6 @@ struct AnalyzeOptions {
   /// Accept the transient capture-time EDBs (vertex-value/send/receive).
   /// Offline evaluation rejects them.
   bool allow_transient = true;
-  /// Per-relation cap on retained EDB records per vertex during online
-  /// evaluation (0 = unlimited). Safe for queries that only look back one
-  /// activation (evolution / i-1 patterns); the paper's monitoring and
-  /// apt queries qualify with a window of 2.
-  int retain_records = 0;
   /// Cost-ordered join planning (sideways information passing) plus
   /// runtime probe-column choice by index-bucket cardinality. Results are
   /// bit-identical either way (set semantics + fixpoint); false restores
@@ -191,8 +186,6 @@ class AnalyzedQuery {
     return fast_capture_;
   }
 
-  int retain_records() const { return options_.retain_records; }
-
   /// Human-readable analysis summary (strata, directions, ships).
   std::string DebugString() const;
 
@@ -208,7 +201,6 @@ class AnalyzedQuery {
   std::vector<int> output_preds_;
   std::vector<int> shipped_preds_;
   std::optional<FastCapturePlan> fast_capture_;
-  AnalyzeOptions options_;
 };
 
 /// Performs the full semantic analysis pipeline: predicate resolution

@@ -48,17 +48,6 @@ constexpr char kUsage[] =
     "exit codes: 0 clean/warnings, 1 errors (or warnings with --Werror),\n"
     "2 usage or IO error\n";
 
-Value ParseValueLiteral(const std::string& text) {
-  if (!text.empty()) {
-    char* end = nullptr;
-    const long long i = std::strtoll(text.c_str(), &end, 10);
-    if (end != nullptr && *end == '\0') return Value(static_cast<int64_t>(i));
-    const double d = std::strtod(text.c_str(), &end);
-    if (end != nullptr && *end == '\0') return Value(d);
-  }
-  return Value(text);
-}
-
 struct DriverConfig {
   std::string format = "text";
   bool werror = false;
@@ -107,7 +96,7 @@ DriverConfig MergePragmas(const DriverConfig& base, const std::string& source) {
       const size_t eq = words[1].find('=');
       if (eq != std::string::npos) {
         cfg.params.emplace_back(words[1].substr(0, eq),
-                                ParseValueLiteral(words[1].substr(eq + 1)));
+                                ParseParamValue(words[1].substr(eq + 1)));
       }
     }
   }
@@ -215,7 +204,7 @@ int RunAriadneLint(const std::vector<std::string>& args, std::string* out,
         return 2;
       }
       cfg.params.emplace_back(v.substr(0, eq),
-                              ParseValueLiteral(v.substr(eq + 1)));
+                              ParseParamValue(v.substr(eq + 1)));
     } else if (a == "--stored") {
       if (!flag_value(i, a, &v)) return 2;
       const size_t slash = v.rfind('/');

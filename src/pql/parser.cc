@@ -330,4 +330,20 @@ Result<Rule> ParseRule(const std::string& text) {
   return Parser(std::move(tokens), sink).ParseRule();
 }
 
+Value ParseParamValue(const std::string& text) {
+  try {
+    size_t pos = 0;
+    const int64_t i = std::stoll(text, &pos);
+    if (pos == text.size()) return Value(i);
+  } catch (...) {
+  }
+  try {
+    size_t pos = 0;
+    const double d = std::stod(text, &pos);
+    if (pos == text.size()) return Value(d);
+  } catch (...) {
+  }
+  return Value(text);
+}
+
 }  // namespace ariadne

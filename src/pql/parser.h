@@ -35,6 +35,13 @@ Program ParseProgram(const std::string& text, DiagnosticSink& sink);
 /// Convenience: parse a single rule.
 Result<Rule> ParseRule(const std::string& text);
 
+/// Parses a parameter value given on a command line (`name=value`): an
+/// integer when the whole text is one that fits int64, else a double when
+/// the whole text is one, else the text itself as a string. So an
+/// out-of-range integer such as 9223372036854775808 binds the double it
+/// denotes.
+Value ParseParamValue(const std::string& text);
+
 }  // namespace ariadne
 
 #endif  // ARIADNE_PQL_PARSER_H_

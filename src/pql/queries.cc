@@ -105,4 +105,14 @@ std::string BackwardLineageCustom() {
   )pql";
 }
 
+std::optional<std::string> ByName(const std::string& name) {
+  if (name == "apt") return Apt();
+  if (name == "q4") return PageRankInDegreeCheck();
+  if (name == "q5") return MonotoneUpdateCheck();
+  if (name == "q6") return NoMessageNoChangeCheck();
+  if (name == "capture-full") return CaptureFull();
+  if (name == "capture-custom") return CaptureCustomBackward();
+  return std::nullopt;
+}
+
 }  // namespace ariadne::queries

@@ -1,6 +1,7 @@
 #ifndef ARIADNE_PQL_QUERIES_H_
 #define ARIADNE_PQL_QUERIES_H_
 
+#include <optional>
 #include <string>
 
 namespace ariadne::queries {
@@ -59,6 +60,11 @@ std::string CaptureCustomBackward();
 /// Query 12 — backward lineage over the Query-11 custom provenance.
 /// Parameters: $alpha, $sigma.
 std::string BackwardLineageCustom();
+
+/// The text behind a short name the tools accept: apt, q4, q5, q6,
+/// capture-full or capture-custom (Query 11). nullopt for any other name,
+/// which the tools then read as a file path.
+std::optional<std::string> ByName(const std::string& name);
 
 }  // namespace ariadne::queries
 

@@ -342,13 +342,8 @@ void QueryServer::Admit(Pending pending) {
     return;
   }
   ctx->query = std::make_unique<AnalyzedQuery>(prepared.MoveValue());
-  // A lazily-filled adjacency cache is not shareable across concurrent
-  // runs; only hand out the precomputed (immutable) one.
-  AdjacencyCache* adjacency = state_->adjacency()->precomputed()
-                                  ? state_->adjacency()
-                                  : nullptr;
   ctx->run.emplace(&state_->graph(), &state_->store(), ctx->query.get(),
-                   adjacency);
+                   state_->adjacency());
   Status init = ctx->run->Init();
   if (!init.ok()) {
     Respond(std::move(ctx), init, init);

@@ -2,20 +2,16 @@
 
 namespace ariadne::serve {
 
-ServiceState::ServiceState(const Graph* graph, const ProvenanceStore* store,
-                           ServiceStateOptions options)
+ServiceState::ServiceState(const Graph* graph, const ProvenanceStore* store)
     : graph_(graph),
       store_(store),
-      options_(options),
-      session_(graph, SessionOptions{.engine = {},
-                                     .plan_joins = options.plan_joins}),
+      session_(graph),
       send_rel_(store->RelId("send-message")),
       receive_rel_(store->RelId("receive-message")),
       adjacency_(std::make_unique<AdjacencyCache>(graph)) {}
 
 Result<std::unique_ptr<ServiceState>> ServiceState::Create(
-    const Graph* graph, const ProvenanceStore* store,
-    ServiceStateOptions options) {
+    const Graph* graph, const ProvenanceStore* store) {
   if (graph == nullptr || store == nullptr) {
     return Status::InvalidArgument("serve requires a graph and a store");
   }
@@ -23,9 +19,12 @@ Result<std::unique_ptr<ServiceState>> ServiceState::Create(
     return Status::InvalidArgument(
         "provenance store has no layers to serve");
   }
-  std::unique_ptr<ServiceState> state(
-      new ServiceState(graph, store, options));
-  if (options.precompute_adjacency) state->adjacency_->Precompute();
+  std::unique_ptr<ServiceState> state(new ServiceState(graph, store));
+  state->adjacency_->Precompute();
+  // A paged graph serves empty spans when a partition read fails; refuse
+  // to serve from planes built over such gaps.
+  ARIADNE_RETURN_NOT_OK(graph->backend_error().WithContext(
+      "graph backend failed while precomputing adjacency"));
   return state;
 }
 

@@ -12,15 +12,6 @@
 
 namespace ariadne::serve {
 
-struct ServiceStateOptions {
-  /// Cost-ordered join planning for prepared queries (DESIGN.md §2.3).
-  bool plan_joins = true;
-  /// Eagerly materialize all static-adjacency planes at startup so the
-  /// shared AdjacencyCache is immutable while queries run. Disable only
-  /// for tiny short-lived servers where startup latency dominates.
-  bool precompute_adjacency = true;
-};
-
 /// The immutable half of a query server: everything that is shared,
 /// read-only, across every in-flight query — the input graph, the capture
 /// (const read path), its schema view, and the precomputed static
@@ -31,10 +22,10 @@ struct ServiceStateOptions {
 class ServiceState {
  public:
   /// `graph` and `store` must outlive the state. Validates the store has
-  /// layers to serve.
+  /// layers to serve and precomputes the static-adjacency planes (failing
+  /// if the graph backend could not read them).
   static Result<std::unique_ptr<ServiceState>> Create(
-      const Graph* graph, const ProvenanceStore* store,
-      ServiceStateOptions options = {});
+      const Graph* graph, const ProvenanceStore* store);
 
   const Graph& graph() const { return *graph_; }
   const ProvenanceStore& store() const { return *store_; }
@@ -47,20 +38,18 @@ class ServiceState {
   Result<AnalyzedQuery> Prepare(const std::string& text,
                                 const QueryParams& params = {}) const;
 
-  /// The shared adjacency planes; precomputed (hence immutable and safe
-  /// to hand to concurrent LayeredQueryRuns) unless configured otherwise.
+  /// The shared adjacency planes; precomputed, hence immutable and safe
+  /// to hand to concurrent LayeredQueryRuns.
   AdjacencyCache* adjacency() const { return adjacency_.get(); }
 
   /// Resident bytes of the shared adjacency planes.
   size_t AdjacencyBytes() const { return adjacency_->MemoryBytes(); }
 
  private:
-  ServiceState(const Graph* graph, const ProvenanceStore* store,
-               ServiceStateOptions options);
+  ServiceState(const Graph* graph, const ProvenanceStore* store);
 
   const Graph* graph_;
   const ProvenanceStore* store_;
-  ServiceStateOptions options_;
   Session session_;
   int send_rel_ = -1;
   int receive_rel_ = -1;

@@ -110,20 +110,6 @@ TEST_P(ThreadCountTest, WccIdenticalAcrossChunkAndShardGeometry) {
 INSTANTIATE_TEST_SUITE_P(Threads, ThreadCountTest,
                          testing::Values(size_t{2}, size_t{4}, size_t{8}));
 
-// --------------------------------------------- routing-mode equivalence
-
-TEST(RoutingModeTest, GlobalLockMatchesShardedValues) {
-  const Graph g = TestWeb();
-  EngineOptions sharded;
-  sharded.num_threads = 4;
-  auto a = RunWith<SsspProgram>(g, sharded, [] { return SsspProgram(0); });
-  EngineOptions locked;
-  locked.num_threads = 4;
-  locked.routing = MessageRouting::kGlobalLock;
-  auto b = RunWith<SsspProgram>(g, locked, [] { return SsspProgram(0); });
-  for (size_t v = 0; v < a.size(); ++v) EXPECT_EQ(a[v], b[v]);
-}
-
 // -------------------------------------------------- dropped-message stats
 
 /// Vertex 0 sends one message to a configurable (possibly invalid) target
@@ -149,19 +135,16 @@ class WildSenderProgram final : public VertexProgram<int64_t, int64_t> {
 TEST(DroppedMessageTest, OutOfRangeTargetsAreCountedNotSilent) {
   auto g = GenerateChain(4);
   ASSERT_TRUE(g.ok());
-  for (auto routing : {MessageRouting::kSharded, MessageRouting::kGlobalLock}) {
-    EngineOptions options;
-    options.routing = routing;
-    options.num_threads = 2;
-    Engine<int64_t, int64_t> engine(&*g, options);
-    WildSenderProgram program({-1, 2, 1000, 3});
-    auto stats = engine.Run(program);
-    ASSERT_TRUE(stats.ok());
-    EXPECT_EQ(stats->dropped_messages, 2);  // -1 and 1000
-    EXPECT_EQ(stats->total_messages, 4);    // drops still count as sends
-    EXPECT_EQ(engine.value(2), 7);
-    EXPECT_EQ(engine.value(3), 7);
-  }
+  EngineOptions options;
+  options.num_threads = 2;
+  Engine<int64_t, int64_t> engine(&*g, options);
+  WildSenderProgram program({-1, 2, 1000, 3});
+  auto stats = engine.Run(program);
+  ASSERT_TRUE(stats.ok());
+  EXPECT_EQ(stats->dropped_messages, 2);  // -1 and 1000
+  EXPECT_EQ(stats->total_messages, 4);    // drops still count as sends
+  EXPECT_EQ(engine.value(2), 7);
+  EXPECT_EQ(engine.value(3), 7);
 }
 
 TEST(DroppedMessageTest, CleanRunReportsZero) {

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "eval/common.h"
+#include "graph/generators.h"
 #include "pql/parser.h"
 #include "pql/queries.h"
 
@@ -56,24 +57,26 @@ TEST(ShipDeltaTest, OnlySelfLocatedTuplesShip) {
   ASSERT_EQ(query->shipped_preds().size(), 1u);
   const int q_pred = query->shipped_preds()[0];
 
-  NodeQueryState state;
-  Database& db = state.EnsureDb(*query);
+  auto graph = GenerateChain(10);
+  ASSERT_TRUE(graph.ok());
+  NodeDatabases nodes(&*query, &*graph);
+  Database& db = nodes.Db(5);
   // Local tuple (located at vertex 5) and a foreign one that arrived via
   // an earlier ship (located at vertex 9).
   db.Rel(q_pred).Insert({Value(int64_t{5}), Value(int64_t{0})});
   db.Rel(q_pred).Insert({Value(int64_t{9}), Value(int64_t{0})});
 
-  ShipBundlePtr bundle = CollectShipDelta(*query, state, /*self=*/5);
+  ShipBundlePtr bundle = nodes.CollectShips(/*v=*/5);
   ASSERT_NE(bundle, nullptr);
   ASSERT_EQ(bundle->size(), 1u);
   ASSERT_EQ((*bundle)[0].second.size(), 1u);
   EXPECT_EQ((*bundle)[0].second[0][0], Value(int64_t{5}));
 
   // Watermark advanced: nothing new to ship.
-  EXPECT_EQ(CollectShipDelta(*query, state, 5), nullptr);
+  EXPECT_EQ(nodes.CollectShips(5), nullptr);
   // New local tuple ships; the foreign one stays filtered forever.
   db.Rel(q_pred).Insert({Value(int64_t{5}), Value(int64_t{1})});
-  bundle = CollectShipDelta(*query, state, 5);
+  bundle = nodes.CollectShips(5);
   ASSERT_NE(bundle, nullptr);
   EXPECT_EQ((*bundle)[0].second.size(), 1u);
 }
@@ -86,16 +89,13 @@ TEST(ShipDeltaTest, RoutingFilterSelectsPredicates) {
   const int q_pred = query->shipped_preds()[0];
   ASSERT_EQ(query->pred(q_pred).routing, ShipRouting::kAlongMessages);
 
-  NodeQueryState state;
-  state.EnsureDb(*query).Rel(q_pred).Insert(
-      {Value(int64_t{1}), Value(int64_t{0})});
+  auto graph = GenerateChain(10);
+  ASSERT_TRUE(graph.ok());
+  NodeDatabases nodes(&*query, &*graph);
+  nodes.Db(1).Rel(q_pred).Insert({Value(int64_t{1}), Value(int64_t{0})});
   // Wrong routing class: nothing collected, watermark untouched.
-  EXPECT_EQ(CollectShipDeltaForRouting(*query, state, 1,
-                                       ShipRouting::kAlongInEdges),
-            nullptr);
-  EXPECT_NE(CollectShipDeltaForRouting(*query, state, 1,
-                                       ShipRouting::kAlongMessages),
-            nullptr);
+  EXPECT_EQ(nodes.CollectShips(1, ShipRouting::kAlongInEdges), nullptr);
+  EXPECT_NE(nodes.CollectShips(1, ShipRouting::kAlongMessages), nullptr);
 }
 
 TEST(RetentionTest, DropsOnlySteppedEdbHistory) {

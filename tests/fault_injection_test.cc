@@ -17,6 +17,7 @@
 #include "engine/engine.h"
 #include "graph/paged_backend.h"
 #include "recovery/fault_injector.h"
+#include "serve/service_state.h"
 #include "storage/layer_store.h"
 
 namespace ariadne {
@@ -437,6 +438,53 @@ TEST_F(ResilienceFaultTest, PagedPartitionReadPermanentFailureGoesSticky) {
   // sticky (a degraded backend never silently self-repairs mid-run).
   recovery::FaultInjector::Global().Disarm();
   EXPECT_FALSE((*paged)->backend_error().ok());
+  PagedBackend::ReleaseThreadLeases();
+}
+
+TEST_F(ResilienceFaultTest, OfflineQueryFailsOnStickyGraphBackendError) {
+  // Captured over the in-memory graph; queried over a paged copy whose
+  // partition reads all fail. The backend then serves empty adjacency,
+  // which must surface as an error, never as an answer without edges.
+  Session memory_session(&graph_);
+  ProvenanceStore store;
+  auto capture = memory_session.PrepareOnline(queries::CaptureFull());
+  ASSERT_TRUE(capture.ok()) << capture.status().ToString();
+  SsspProgram sssp(0);
+  ASSERT_TRUE(memory_session.Capture(sssp, *capture, &store).ok());
+  const std::string text = "nbr(x, y) <- edge(x, y), superstep(x, i), i = 0.";
+  auto query = memory_session.PrepareOffline(text, store);
+  ASSERT_TRUE(query.ok()) << query.status().ToString();
+  auto in_memory =
+      memory_session.RunOffline(&store, *query, EvalMode::kLayered);
+  ASSERT_TRUE(in_memory.ok()) << in_memory.status().ToString();
+  ASSERT_EQ(in_memory->result.TupleCount("nbr"), 224u);
+
+  for (EvalMode mode : {EvalMode::kLayered, EvalMode::kNaive}) {
+    recovery::FaultInjector::Global().Disarm();
+    auto paged = OpenPaged(std::string("offline-") + EvalModeToString(mode));
+    ASSERT_TRUE(paged.ok()) << paged.status().ToString();
+    ASSERT_TRUE(
+        recovery::FaultInjector::Global().Arm("graph-partition-read:1+").ok());
+    Session session(paged->get());
+    auto run = session.RunOffline(&store, *query, mode);
+    ASSERT_FALSE(run.ok()) << EvalModeToString(mode) << " answered with "
+                           << run->result.TupleCount("nbr") << " tuples";
+    EXPECT_NE(run.status().message().find("graph backend failed"),
+              std::string::npos)
+        << run.status().ToString();
+    PagedBackend::ReleaseThreadLeases();
+  }
+  // The server's shared adjacency planes are built the same way.
+  recovery::FaultInjector::Global().Disarm();
+  auto paged = OpenPaged("offline-serve");
+  ASSERT_TRUE(paged.ok()) << paged.status().ToString();
+  ASSERT_TRUE(
+      recovery::FaultInjector::Global().Arm("graph-partition-read:1+").ok());
+  auto state = serve::ServiceState::Create(paged->get(), &store);
+  ASSERT_FALSE(state.ok());
+  EXPECT_NE(state.status().message().find("graph backend failed"),
+            std::string::npos)
+      << state.status().ToString();
   PagedBackend::ReleaseThreadLeases();
 }
 

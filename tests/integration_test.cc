@@ -458,6 +458,58 @@ TEST(IntegrationModes, BackwardQueryRejectedOnline) {
   EXPECT_TRUE(run.status().IsInvalidArgument());
 }
 
+/// Full capture of a 2-iteration PageRank (3 layers) over `graph`.
+Status CaptureTwoIterations(Session& session, ProvenanceStore* store) {
+  auto capture = session.PrepareOnline(queries::CaptureFull());
+  if (!capture.ok()) return capture.status();
+  PageRankProgram pagerank({.iterations = 2});
+  return session.Capture(pagerank, *capture, store).status();
+}
+
+TEST(IntegrationNaive, ReachabilityRunsPastOneRoundPerLayer) {
+  // Reachability along message edges needs one round per chain vertex,
+  // far more rounds than the store has layers; naive must run the stratum
+  // to its fixpoint instead of stopping at a layer-derived cap.
+  auto g = GenerateChain(100);
+  ASSERT_TRUE(g.ok());
+  Session session(&*g);
+  ProvenanceStore store;
+  ASSERT_TRUE(CaptureTwoIterations(session, &store).ok());
+  ASSERT_EQ(store.num_layers(), 3);
+  auto query = session.PrepareOffline(
+      "reach(x) <- superstep(x, i), x = 0, i = 0.\n"
+      "reach(x) <- receive-message(x, y, _m, _i), reach(y).",
+      store);
+  ASSERT_TRUE(query.ok()) << query.status().ToString();
+  auto naive = session.RunOffline(&store, *query, EvalMode::kNaive);
+  ASSERT_TRUE(naive.ok()) << naive.status().ToString();
+  EXPECT_EQ(naive->result.TupleCount("reach"), 100u);
+  EXPECT_GT(naive->stats.supersteps, 100);
+}
+
+TEST(IntegrationNaive, NonConvergentQueryIsAnErrorNotATruncatedAnswer) {
+  // Counting hops around a cycle derives a new tuple every round forever.
+  auto g = GenerateCycle(8);
+  ASSERT_TRUE(g.ok());
+  Session session(&*g);
+  ProvenanceStore store;
+  ASSERT_TRUE(CaptureTwoIterations(session, &store).ok());
+  auto query = session.PrepareOffline(
+      "c(x, n) <- superstep(x, i), x = 0, i = 0, n = 0.\n"
+      "c(x, n) <- receive-message(x, y, _m, _i), c(y, k), n = k + 1.",
+      store);
+  ASSERT_TRUE(query.ok()) << query.status().ToString();
+  auto naive = session.RunOffline(&store, *query, EvalMode::kNaive);
+  ASSERT_FALSE(naive.ok()) << naive->result.TupleCount("c") << " tuples";
+  EXPECT_TRUE(naive.status().IsUnsupported()) << naive.status().ToString();
+  EXPECT_NE(naive.status().message().find("stratum 0"), std::string::npos)
+      << naive.status().ToString();
+  // Guard: 8 vertices + 2 * 3 layers + 4.
+  EXPECT_NE(naive.status().message().find("after 18 rounds"),
+            std::string::npos)
+      << naive.status().ToString();
+}
+
 TEST(IntegrationModes, ForwardQueryAllowedEverywhereBackwardOnlyLayered) {
   auto forward = ParseProgram("p(x, i) <- receive-message(x, y, m, i).");
   ASSERT_TRUE(forward.ok());

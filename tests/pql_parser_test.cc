@@ -155,6 +155,28 @@ TEST(ParserTest, BindParameters) {
                   .ok());
   EXPECT_TRUE(fresh->UnboundParameters().empty());
   EXPECT_NE(fresh->ToString().find("3"), std::string::npos);
+
+  // Command-line parameter values (--param name=value in every tool):
+  // int64 if the whole text is one, else double, else string.
+  const Value i = ParseParamValue("42");
+  ASSERT_TRUE(i.is_int());
+  EXPECT_EQ(i.AsInt(), 42);
+  const Value neg = ParseParamValue("-7");
+  ASSERT_TRUE(neg.is_int());
+  EXPECT_EQ(neg.AsInt(), -7);
+  const Value d = ParseParamValue("0.25");
+  ASSERT_TRUE(d.is_double());
+  EXPECT_EQ(d.AsDouble(), 0.25);
+  const Value e = ParseParamValue("1e3");
+  ASSERT_TRUE(e.is_double());
+  EXPECT_EQ(e.AsDouble(), 1000.0);
+  const Value str = ParseParamValue("pagerank");
+  ASSERT_TRUE(str.is_string());
+  EXPECT_EQ(str.AsString(), "pagerank");
+  // One past INT64_MAX is the double it denotes, never a clamped int.
+  const Value big = ParseParamValue("9223372036854775808");
+  ASSERT_TRUE(big.is_double());
+  EXPECT_EQ(big.AsDouble(), 9223372036854775808.0);
 }
 
 }  // namespace

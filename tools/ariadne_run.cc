@@ -111,29 +111,8 @@ Result<CaptureDegradePolicy> ParseDegradePolicy(const std::string& name) {
                                  "' (fail|capture-off|forward-lineage)");
 }
 
-Value ParseParamValue(const std::string& text) {
-  try {
-    size_t pos = 0;
-    const int64_t i = std::stoll(text, &pos);
-    if (pos == text.size()) return Value(i);
-  } catch (...) {
-  }
-  try {
-    size_t pos = 0;
-    const double d = std::stod(text, &pos);
-    if (pos == text.size()) return Value(d);
-  } catch (...) {
-  }
-  return Value(text);
-}
-
 Result<std::string> QueryText(const Args& args) {
-  if (args.query == "apt") return queries::Apt();
-  if (args.query == "q4") return queries::PageRankInDegreeCheck();
-  if (args.query == "q5") return queries::MonotoneUpdateCheck();
-  if (args.query == "q6") return queries::NoMessageNoChangeCheck();
-  if (args.query == "capture-full") return queries::CaptureFull();
-  if (args.query == "capture-custom") return queries::CaptureCustomBackward();
+  if (auto text = queries::ByName(args.query)) return *text;
   return ReadFile(args.query);
 }
 

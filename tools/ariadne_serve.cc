@@ -84,27 +84,8 @@ int Usage() {
   return 2;
 }
 
-Value ParseParamValue(const std::string& text) {
-  try {
-    size_t pos = 0;
-    const int64_t i = std::stoll(text, &pos);
-    if (pos == text.size()) return Value(i);
-  } catch (...) {
-  }
-  try {
-    size_t pos = 0;
-    const double d = std::stod(text, &pos);
-    if (pos == text.size()) return Value(d);
-  } catch (...) {
-  }
-  return Value(text);
-}
-
 Result<std::string> QueryText(const std::string& name) {
-  if (name == "apt") return queries::Apt();
-  if (name == "q4") return queries::PageRankInDegreeCheck();
-  if (name == "q5") return queries::MonotoneUpdateCheck();
-  if (name == "q6") return queries::NoMessageNoChangeCheck();
+  if (auto text = queries::ByName(name)) return *text;
   return ReadFile(name);
 }
 

@@ -44,22 +44,6 @@ int Usage() {
   return 2;
 }
 
-Value ParseParamValue(const std::string& text) {
-  try {
-    size_t pos = 0;
-    const int64_t i = std::stoll(text, &pos);
-    if (pos == text.size()) return Value(i);
-  } catch (...) {
-  }
-  try {
-    size_t pos = 0;
-    const double d = std::stod(text, &pos);
-    if (pos == text.size()) return Value(d);
-  } catch (...) {
-  }
-  return Value(text);
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
