@@ -208,14 +208,7 @@ int RunChaosSweep(const std::string& json_path) {
       .Set("throughput_loss_pct_at_1pct_faults", loss_at_1pct * 100.0)
       .Set("meets_sub_10pct_loss_bar", meets_bar)
       .SetRaw("results", bench::JsonArray(rows, 4));
-  std::FILE* out = std::fopen(json_path.c_str(), "w");
-  if (out == nullptr) {
-    std::fprintf(stderr, "cannot open %s\n", json_path.c_str());
-    return 1;
-  }
-  std::fprintf(out, "%s\n", top.Dump().c_str());
-  std::fclose(out);
-  std::fprintf(stderr, "wrote %s\n", json_path.c_str());
+  if (!bench::WriteJson(json_path, top)) return 1;
   return meets_bar ? 0 : 1;
 }
 

@@ -5,46 +5,11 @@
 #include <cstdlib>
 #include <filesystem>
 #include <numeric>
+#include <system_error>
 
-#include "common/string_util.h"
 #include "common/timer.h"
 
 namespace ariadne::bench {
-
-const std::vector<WebDataset>& WebDatasets() {
-  static const std::vector<WebDataset>* kDatasets = new std::vector<WebDataset>{
-      // Edge weights span [0, 2.5) instead of the paper's [0, 1): our
-      // R-MAT stand-ins have ~5x smaller diameters than the web crawls,
-      // so this keeps typical SSSP distances (median ~5) — and therefore
-      // the meaning of the apt epsilon = 0.1 — comparable to the paper.
-      {"WEB-XS (IN-04 stand-in)", "WEB-XS",
-       RmatOptions{.scale = 10, .avg_degree = 16, .seed = 101,
-                   .max_weight = 2.5},
-       true},
-      {"WEB-S (UK-02 stand-in)", "WEB-S",
-       RmatOptions{.scale = 11, .avg_degree = 16, .seed = 102,
-                   .max_weight = 2.5},
-       true},
-      {"WEB-M (AR-05 stand-in)", "WEB-M",
-       RmatOptions{.scale = 12, .avg_degree = 20, .seed = 103,
-                   .max_weight = 2.5},
-       false},
-      {"WEB-L (UK-05 stand-in)", "WEB-L",
-       RmatOptions{.scale = 13, .avg_degree = 24, .seed = 104,
-                   .max_weight = 2.5},
-       false},
-  };
-  return *kDatasets;
-}
-
-BipartiteRatingsOptions MlSynOptions(int seed) {
-  BipartiteRatingsOptions options;
-  options.num_users = 1500;
-  options.num_items = 400;
-  options.ratings_per_user = 40;
-  options.seed = static_cast<uint64_t>(seed);
-  return options;
-}
 
 PageRankOptions BenchPageRankOptions() {
   PageRankOptions options;
@@ -52,96 +17,22 @@ PageRankOptions BenchPageRankOptions() {
   return options;
 }
 
-const char* AnalyticName(AnalyticKind kind) {
-  switch (kind) {
-    case AnalyticKind::kPageRank:
-      return "PageRank";
-    case AnalyticKind::kSssp:
-      return "SSSP";
-    case AnalyticKind::kWcc:
-      return "WCC";
-  }
-  return "?";
-}
-
-VertexId CaptureSource(AnalyticKind kind, const Graph& graph) {
-  // Paper §6.1: highest-degree vertex for PageRank and WCC, the source
-  // for SSSP — chosen as an upper bound on influenced-set size.
-  (void)kind;
-  return HighestDegreeVertex(graph);
-}
-
-double AptEpsilon(AnalyticKind kind) {
-  switch (kind) {
-    case AnalyticKind::kPageRank:
-      return 0.01;  // paper §6.2.2
-    case AnalyticKind::kSssp:
-      return 0.1;
-    case AnalyticKind::kWcc:
-      return 1.0;
-  }
-  return 0.0;
-}
-
-namespace {
-
-template <typename Fn>
-Result<RunStats> Dispatch(AnalyticKind kind, const Graph& graph, Fn&& fn) {
-  switch (kind) {
-    case AnalyticKind::kPageRank: {
-      PageRankProgram program(BenchPageRankOptions());
-      return fn(program);
-    }
-    case AnalyticKind::kSssp: {
-      SsspProgram program(CaptureSource(kind, graph));
-      return fn(program);
-    }
-    case AnalyticKind::kWcc: {
-      WccProgram program;
-      return fn(program);
-    }
-  }
-  return Status::Internal("unknown analytic");
-}
-
-}  // namespace
-
-Result<RunStats> RunBaseline(AnalyticKind kind, const Graph& graph) {
-  Session session(&graph);
-  return Dispatch(kind, graph, [&](auto& program) {
-    return session.RunBaseline(program);
-  });
-}
-
-Result<RunStats> RunCapture(AnalyticKind kind, const Graph& graph,
-                            const AnalyzedQuery& capture_query,
-                            ProvenanceStore* store, int retention_window,
-                            bool use_fast_capture) {
-  Session session(&graph);
-  return Dispatch(kind, graph, [&](auto& program) {
-    return session.Capture(program, capture_query, store, retention_window,
-                           nullptr, use_fast_capture);
-  });
-}
-
-Result<OnlineRunResult> RunOnlineQuery(AnalyticKind kind, const Graph& graph,
-                                       const AnalyzedQuery& query,
-                                       int retention_window) {
-  Session session(&graph);
-  Result<OnlineRunResult> out = Status::Internal("not run");
-  auto st = Dispatch(kind, graph, [&](auto& program) -> Result<RunStats> {
-    out = session.RunOnline(program, query, retention_window);
-    if (!out.ok()) return out.status();
-    return out->engine_stats;
-  });
-  if (!st.ok()) return st.status();
-  return out;
-}
-
 Status SpillToDisk(ProvenanceStore* store) {
-  static int counter = 0;
-  const std::string dir =
-      "/tmp/ariadne_bench_spill_" + std::to_string(++counter);
+  // One private root per process, created with mkdtemp so concurrent
+  // bench processes never share spill files. Its destructor runs at exit,
+  // after main's stores are destroyed.
+  static struct SpillRoot {
+    std::string path =
+        (std::filesystem::temp_directory_path() / "ariadne_bench_XXXXXX")
+            .string();
+    SpillRoot() { ARIADNE_CHECK(mkdtemp(path.data()) != nullptr); }
+    ~SpillRoot() {
+      std::error_code ec;
+      std::filesystem::remove_all(path, ec);
+    }
+  } root;
+  static int count = 0;
+  const std::string dir = root.path + "/" + std::to_string(++count);
   std::filesystem::create_directories(dir);
   return store->EnableSpill(dir, /*budget_bytes=*/0);
 }
@@ -175,53 +66,6 @@ double TimedSeconds(const std::function<void()>& fn) {
   return sum / static_cast<double>(end - begin);
 }
 
-TablePrinter::TablePrinter(std::vector<std::string> header) {
-  rows_.push_back(std::move(header));
-}
-
-void TablePrinter::AddRow(std::vector<std::string> row) {
-  rows_.push_back(std::move(row));
-}
-
-void TablePrinter::Print() const {
-  std::vector<size_t> widths;
-  for (const auto& row : rows_) {
-    if (widths.size() < row.size()) widths.resize(row.size(), 0);
-    for (size_t c = 0; c < row.size(); ++c) {
-      widths[c] = std::max(widths[c], row[c].size());
-    }
-  }
-  for (size_t r = 0; r < rows_.size(); ++r) {
-    std::string line = "  ";
-    for (size_t c = 0; c < rows_[r].size(); ++c) {
-      line += rows_[r][c];
-      line.append(widths[c] - rows_[r][c].size() + 2, ' ');
-    }
-    std::printf("%s\n", line.c_str());
-    if (r == 0) {
-      std::string rule = "  ";
-      for (size_t c = 0; c < widths.size(); ++c) {
-        rule.append(widths[c], '-');
-        rule.append(2, ' ');
-      }
-      std::printf("%s\n", rule.c_str());
-    }
-  }
-}
-
-void PrintBanner(const std::string& experiment,
-                 const std::string& paper_says) {
-  std::printf("\n=== %s ===\n", experiment.c_str());
-  std::printf("Paper reports: %s\n", paper_says.c_str());
-  std::printf("(reps per timing: %d; set ARIADNE_BENCH_REPS for more)\n\n",
-              BenchReps());
-}
-
-std::string Ratio(double value, double baseline) {
-  if (baseline <= 0) return "n/a";
-  return FormatDouble(value / baseline, 2) + "x";
-}
-
 std::string ConsumeJsonFlag(int* argc, char** argv) {
   std::string path;
   int out = 1;
@@ -237,6 +81,18 @@ std::string ConsumeJsonFlag(int* argc, char** argv) {
   }
   *argc = out;
   return path;
+}
+
+bool WriteJson(const std::string& path, const JsonObject& top) {
+  std::FILE* out = std::fopen(path.c_str(), "w");
+  if (out == nullptr) {
+    std::fprintf(stderr, "cannot open %s\n", path.c_str());
+    return false;
+  }
+  std::fprintf(out, "%s\n", top.Dump().c_str());
+  std::fclose(out);
+  std::fprintf(stderr, "wrote %s\n", path.c_str());
+  return true;
 }
 
 }  // namespace ariadne::bench

@@ -278,15 +278,7 @@ int RunPlanningSweep(const std::string& json_path) {
       .Set("reps", bench::BenchReps())
       .Set("speedup_planned_over_unplanned", speedup)
       .SetRaw("results", bench::JsonArray(rows, 4));
-  std::FILE* out = std::fopen(json_path.c_str(), "w");
-  if (out == nullptr) {
-    std::fprintf(stderr, "cannot open %s\n", json_path.c_str());
-    return 1;
-  }
-  std::fprintf(out, "%s\n", top.Dump().c_str());
-  std::fclose(out);
-  std::fprintf(stderr, "wrote %s\n", json_path.c_str());
-  return 0;
+  return bench::WriteJson(json_path, top) ? 0 : 1;
 }
 
 }  // namespace

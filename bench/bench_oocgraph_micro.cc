@@ -233,14 +233,7 @@ int RunBudgetSweep(const std::string& json_path) {
       .Set("host_hardware_threads",
            static_cast<int64_t>(std::thread::hardware_concurrency()))
       .SetRaw("results", bench::JsonArray(rows, 4));
-  std::FILE* out = std::fopen(json_path.c_str(), "w");
-  if (out == nullptr) {
-    std::fprintf(stderr, "cannot open %s\n", json_path.c_str());
-    return 1;
-  }
-  std::fprintf(out, "%s\n", top.Dump().c_str());
-  std::fclose(out);
-  std::fprintf(stderr, "wrote %s\n", json_path.c_str());
+  if (!bench::WriteJson(json_path, top)) return 1;
   // Acceptance bar (EXPERIMENTS.md): paging at a quarter of the topology
   // footprint must stay under 2x the in-memory wall clock.
   if (quarter_budget_slowdown >= 2.0) {

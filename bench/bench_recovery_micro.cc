@@ -164,14 +164,7 @@ int RunRecoverySweep(const std::string& json_path) {
       .Set("overhead_every4_within_bar",
            overhead_every4 <= 0.10 ? "yes" : "NO")
       .SetRaw("resume", resume.Dump());
-  std::FILE* out = std::fopen(json_path.c_str(), "w");
-  if (out == nullptr) {
-    std::fprintf(stderr, "cannot open %s\n", json_path.c_str());
-    return 1;
-  }
-  std::fprintf(out, "%s\n", top.Dump().c_str());
-  std::fclose(out);
-  std::fprintf(stderr, "wrote %s\n", json_path.c_str());
+  if (!bench::WriteJson(json_path, top)) return 1;
   std::filesystem::remove_all(dir);
   return overhead_every4 <= 0.10 ? 0 : 2;
 }

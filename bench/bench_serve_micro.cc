@@ -244,15 +244,7 @@ int RunServeSweep(const std::string& json_path) {
       .SetRaw("workload", workload.Dump())
       .Set("results_verified_identical_to_one_shot", true)
       .SetRaw("results", bench::JsonArray(rows, 4));
-  std::FILE* out = std::fopen(json_path.c_str(), "w");
-  if (out == nullptr) {
-    std::fprintf(stderr, "cannot open %s\n", json_path.c_str());
-    return 1;
-  }
-  std::fprintf(out, "%s\n", top.Dump().c_str());
-  std::fclose(out);
-  std::fprintf(stderr, "wrote %s\n", json_path.c_str());
-  return 0;
+  return bench::WriteJson(json_path, top) ? 0 : 1;
 }
 
 // ------------------------------------------------------------- gbench

@@ -224,15 +224,7 @@ int RunStoreSweep(const std::string& json_path) {
       .SetRaw("append_flush", append.Dump())
       .SetRaw("layered_query", query.Dump())
       .SetRaw("compression", compression.Dump());
-  std::FILE* out = std::fopen(json_path.c_str(), "w");
-  if (out == nullptr) {
-    std::fprintf(stderr, "cannot open %s\n", json_path.c_str());
-    return 1;
-  }
-  std::fprintf(out, "%s\n", top.Dump().c_str());
-  std::fclose(out);
-  std::fprintf(stderr, "wrote %s\n", json_path.c_str());
-  return 0;
+  return bench::WriteJson(json_path, top) ? 0 : 1;
 }
 
 }  // namespace

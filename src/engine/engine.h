@@ -212,16 +212,14 @@ class Engine {
       stats.rebuild_seconds += rebuild_seconds;
       stats.compute_seconds += compute_seconds;
       stats.merge_seconds += merge_seconds;
-      if (options_.collect_per_step_stats) {
-        stats.steps.push_back(SuperstepStats{
-            .step = step,
-            .active_vertices = static_cast<int64_t>(active_.size()),
-            .messages_sent = counters.sent,
-            .seconds = step_timer.ElapsedSeconds(),
-            .rebuild_seconds = rebuild_seconds,
-            .compute_seconds = compute_seconds,
-            .merge_seconds = merge_seconds});
-      }
+      stats.steps.push_back(SuperstepStats{
+          .step = step,
+          .active_vertices = static_cast<int64_t>(active_.size()),
+          .messages_sent = counters.sent,
+          .seconds = step_timer.ElapsedSeconds(),
+          .rebuild_seconds = rebuild_seconds,
+          .compute_seconds = compute_seconds,
+          .merge_seconds = merge_seconds});
 
       std::swap(inbox_, next_inbox_);
 

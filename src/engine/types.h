@@ -20,8 +20,6 @@ struct EngineOptions {
   /// Hard cap; Run() stops after this many supersteps even if messages
   /// remain in flight.
   Superstep max_supersteps = 1000000;
-  /// Record per-superstep statistics in RunStats::steps.
-  bool collect_per_step_stats = true;
   /// Shards per worker for owner-computes routing (P = shard_multiplier *
   /// num_threads). More shards smooth the merge-phase load balance at the
   /// cost of smaller per-shard outboxes.
@@ -132,8 +130,7 @@ struct RunStats {
   /// Times a MessageCombiner folded two messages into one (sender-side
   /// hits + owner-merge hits).
   int64_t combine_hits = 0;
-  /// Whole-run phase totals (sums of the SuperstepStats fields, collected
-  /// even when collect_per_step_stats is off).
+  /// Whole-run phase totals (sums of the SuperstepStats fields).
   double rebuild_seconds = 0.0;
   double compute_seconds = 0.0;
   double merge_seconds = 0.0;

@@ -31,27 +31,17 @@ struct OnlineMessage {
 namespace recovery {
 
 /// Checkpoint serialization of in-flight online messages, so capture runs
-/// are engine-checkpointable. Ships serialize by content; on restore each
-/// message owns its own bundle (sharing is a memory optimization, not a
-/// semantic property). In the checkpoint-supported fast-capture path
-/// ships are always null anyway.
+/// are engine-checkpointable. Only fast-capture runs checkpoint
+/// (OnlineProgram::checkpoint_supported), and they never attach ships, so
+/// the record keeps a ship count that is always 0.
 template <typename M>
   requires Checkpointable<M>
 struct CheckpointTraits<OnlineMessage<M>> {
   static void Write(BinaryWriter& w, const OnlineMessage<M>& m) {
+    ARIADNE_CHECK(m.ships == nullptr);
     w.WriteI64(m.src);
     CheckpointTraits<M>::Write(w, m.payload);
-    const ShipBundle* ships = m.ships.get();
-    w.WriteU64(ships == nullptr ? 0 : ships->size());
-    if (ships == nullptr) return;
-    for (const auto& [pred, tuples] : *ships) {
-      w.WriteI64(pred);
-      w.WriteU64(tuples.size());
-      for (const Tuple& t : tuples) {
-        w.WriteU64(t.size());
-        for (const Value& value : t) w.WriteValue(value);
-      }
-    }
+    w.WriteU64(0);
   }
 
   static Result<OnlineMessage<M>> Read(BinaryReader& r) {
@@ -59,43 +49,13 @@ struct CheckpointTraits<OnlineMessage<M>> {
     ARIADNE_ASSIGN_OR_RETURN(int64_t src, r.ReadI64());
     m.src = static_cast<VertexId>(src);
     ARIADNE_ASSIGN_OR_RETURN(m.payload, CheckpointTraits<M>::Read(r));
-    ARIADNE_ASSIGN_OR_RETURN(uint64_t n_rels, r.ReadU64());
-    if (n_rels == 0) return m;
-    if (n_rels > r.remaining() / 16) {
-      return Status::ParseError("ship bundle relation count " +
-                                std::to_string(n_rels) +
-                                " exceeds remaining checkpoint bytes");
+    ARIADNE_ASSIGN_OR_RETURN(uint64_t n_ships, r.ReadU64());
+    if (n_ships != 0) {
+      return Status::ParseError("checkpointed online message carries " +
+                                std::to_string(n_ships) +
+                                " ship relation(s); only ship-free "
+                                "messages are checkpointed");
     }
-    ShipBundle bundle;
-    bundle.reserve(n_rels);
-    for (uint64_t k = 0; k < n_rels; ++k) {
-      ARIADNE_ASSIGN_OR_RETURN(int64_t pred, r.ReadI64());
-      ARIADNE_ASSIGN_OR_RETURN(uint64_t n_tuples, r.ReadU64());
-      if (n_tuples > r.remaining() / 8) {
-        return Status::ParseError("ship bundle tuple count " +
-                                  std::to_string(n_tuples) +
-                                  " exceeds remaining checkpoint bytes");
-      }
-      std::vector<Tuple> tuples;
-      tuples.reserve(n_tuples);
-      for (uint64_t i = 0; i < n_tuples; ++i) {
-        ARIADNE_ASSIGN_OR_RETURN(uint64_t arity, r.ReadU64());
-        if (arity > r.remaining()) {
-          return Status::ParseError(
-              "ship tuple arity " + std::to_string(arity) +
-              " exceeds remaining checkpoint bytes");
-        }
-        Tuple t;
-        t.reserve(arity);
-        for (uint64_t c = 0; c < arity; ++c) {
-          ARIADNE_ASSIGN_OR_RETURN(Value value, r.ReadValue());
-          t.push_back(std::move(value));
-        }
-        tuples.push_back(std::move(t));
-      }
-      bundle.emplace_back(static_cast<int>(pred), std::move(tuples));
-    }
-    m.ships = std::make_shared<const ShipBundle>(std::move(bundle));
     return m;
   }
 };

@@ -10,7 +10,6 @@ namespace ariadne {
 
 namespace {
 
-constexpr uint32_t kStoreMagicV1 = 0x41505631;  ///< legacy row-major image
 constexpr uint32_t kStoreMagicV2 = 0x41505632;  ///< page-compressed image
 
 /// Bytes before the checksummed body of an APV2 image:
@@ -157,48 +156,6 @@ Result<std::string> ProvenanceStore::SerializeToString() const {
 
 namespace {
 
-Result<ProvenanceStore> LoadLegacyV1(BinaryReader& reader,
-                                     const std::string& path) {
-  ProvenanceStore store;
-  ARIADNE_ASSIGN_OR_RETURN(uint64_t n_rels, reader.ReadU64());
-  // A schema entry costs >= 12 bytes (length-prefixed name + arity).
-  if (n_rels > reader.remaining() / 12) {
-    return Status::ParseError("relation count " + std::to_string(n_rels) +
-                              " exceeds remaining bytes in " + path +
-                              " at offset " + std::to_string(reader.pos()));
-  }
-  for (uint64_t i = 0; i < n_rels; ++i) {
-    ARIADNE_ASSIGN_OR_RETURN(std::string name, reader.ReadString());
-    ARIADNE_ASSIGN_OR_RETURN(uint32_t arity, reader.ReadU32());
-    store.AddRelation(name, static_cast<int>(arity));
-  }
-  {
-    auto layer = DeserializeLayer(reader);
-    if (!layer.ok()) return layer.status().WithContext(path);
-    store.static_layer() = std::move(layer).value();
-  }
-  ARIADNE_ASSIGN_OR_RETURN(uint64_t n_layers, reader.ReadU64());
-  if (n_layers > reader.remaining() / 16) {
-    return Status::ParseError("layer count " + std::to_string(n_layers) +
-                              " exceeds remaining bytes in " + path +
-                              " at offset " + std::to_string(reader.pos()));
-  }
-  for (uint64_t i = 0; i < n_layers; ++i) {
-    auto layer = DeserializeLayer(reader);
-    if (!layer.ok()) {
-      return layer.status().WithContext(path + " (layer " +
-                                        std::to_string(i) + ")");
-    }
-    ARIADNE_RETURN_NOT_OK(store.AppendLayer(std::move(layer).value()));
-  }
-  if (!reader.AtEnd()) {
-    return Status::ParseError(std::to_string(reader.remaining()) +
-                              " trailing byte(s) in " + path +
-                              " after layer data");
-  }
-  return store;
-}
-
 Result<ProvenanceStore> LoadV2(BinaryReader& reader, const std::string& path,
                                bool degraded) {
   ProvenanceStore store;
@@ -302,11 +259,6 @@ Result<ProvenanceStore> ProvenanceStore::LoadFromBytes(
   }
   uint32_t magic;
   std::memcpy(&magic, data.data(), sizeof(magic));
-  if (magic == kStoreMagicV1) {
-    BinaryReader reader(std::move(data));
-    (void)reader.ReadU32();  // magic, just validated
-    return LoadLegacyV1(reader, origin);
-  }
   if (magic != kStoreMagicV2) {
     return Status::ParseError("bad provenance store magic in " + origin);
   }

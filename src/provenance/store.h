@@ -106,8 +106,7 @@ class ProvenanceStore {
 
   /// Serializes the whole store (schema + static + layers) / reloads it.
   /// Writes the page-compressed "APV2" image; the bytes are identical for
-  /// any spill configuration or engine thread count. LoadFromFile also
-  /// accepts the legacy row-major "APV1" format.
+  /// any spill configuration or engine thread count.
   Status SaveToFile(const std::string& path) const;
   static Result<ProvenanceStore> LoadFromFile(const std::string& path);
 

@@ -10,6 +10,12 @@ namespace ariadne::serve {
 
 namespace {
 
+/// LayerViews retained by the shared-scan executor.
+constexpr size_t kViewCacheCapacity = 4;
+
+/// Jitter seed of the shared-scan retry ladder (common/retry.h).
+constexpr uint64_t kScanRetrySeed = 0x41524941;  // "ARIA"
+
 /// Canonical coalescing key: program text plus name-sorted params.
 /// Two requests with equal keys ask the same question of the same
 /// (immutable) store and may share one evaluation.
@@ -66,7 +72,7 @@ QueryServer::QueryServer(const ServiceState* state, ServerOptions options)
     : state_(state),
       options_(options),
       executor_(&state->store(), state->send_rel(), state->receive_rel(),
-                options.view_cache_capacity),
+                kViewCacheCapacity),
       pool_(options.step_threads) {
   scheduler_ = std::thread([this] { SchedulerLoop(); });
 }
@@ -398,7 +404,7 @@ void QueryServer::RunGroup() {
   RetryPolicy policy;
   policy.max_attempts = options_.step_retry_attempts;
   policy.backoff_base_ms = options_.step_retry_backoff_ms;
-  policy.seed = options_.retry_seed;
+  policy.seed = kScanRetrySeed;
   Result<std::shared_ptr<const LayerView>> view =
       std::shared_ptr<const LayerView>();
   const RetryOutcome scanned =

@@ -31,8 +31,6 @@ struct ServerOptions {
   /// Worker threads fanning one layer group out across its subscribed
   /// queries; 0/1 steps inline on the scheduler thread.
   size_t step_threads = 0;
-  /// LayerViews retained by the shared-scan executor.
-  size_t view_cache_capacity = 4;
 
   // -- Resilience (DESIGN.md §2.8) --
 
@@ -44,7 +42,6 @@ struct ServerOptions {
   /// Backoff before the 2nd scan attempt, in ms; doubles per attempt,
   /// plus seeded jitter (common/retry.h).
   double step_retry_backoff_ms = 1.0;
-  uint64_t retry_seed = 0x41524941;  // "ARIA"
   /// Consecutive exhausted scan failures that trip the circuit breaker;
   /// <= 0 disables the breaker.
   int breaker_threshold = 3;

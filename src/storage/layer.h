@@ -43,10 +43,10 @@ struct Layer {
   void Canonicalize();
 };
 
-/// Row-major layer serialization — the legacy ("APV1") wire format, kept
-/// for on-disk compatibility and as the uncompressed baseline that the
-/// storage stats' compression ratio is measured against. New spill files
-/// and store images use the page codec (storage/page.h) instead.
+/// Row-major layer serialization: the static segment of an APV2 store
+/// image, and the uncompressed baseline that the storage stats'
+/// compression ratio is measured against. Spill files and dynamic layers
+/// use the page codec (storage/page.h) instead.
 void SerializeLayer(const Layer& layer, BinaryWriter& writer);
 Result<Layer> DeserializeLayer(BinaryReader& reader);
 

@@ -44,17 +44,16 @@ struct LayerStoreOptions {
   /// Backoff before the 2nd attempt, in ms; doubles per attempt, plus a
   /// seeded jitter in [0, 100%) of the delay.
   double io_backoff_base_ms = 1.0;
-  /// Jitter seed. Each retrying call site mixes in a per-layer/page salt
-  /// AND a per-thread salt (common/retry.h), so concurrent flush threads
-  /// never back off in lockstep.
-  uint64_t io_retry_seed = 0x41524941;  // "ARIA"
 
-  /// The three knobs above as the shared RetryPolicy (common/retry.h).
+  /// The two knobs above as the shared RetryPolicy (common/retry.h). The
+  /// jitter seed is fixed: each retrying call site mixes in a
+  /// per-layer/page salt AND a per-thread salt, so concurrent flush
+  /// threads never back off in lockstep.
   RetryPolicy IoRetryPolicy() const {
     RetryPolicy p;
     p.max_attempts = io_max_attempts;
     p.backoff_base_ms = io_backoff_base_ms;
-    p.seed = io_retry_seed;
+    p.seed = 0x41524941;  // "ARIA"
     return p;
   }
 };

@@ -193,5 +193,22 @@ TEST_F(CheckpointCorruptionTest, MissingCheckpointIsAFreshStart) {
   EXPECT_EQ(resumed->values, reference_.values);
 }
 
+TEST(OnlineMessageCheckpointTest, NonzeroShipCountIsRejected) {
+  // A well-formed record of one message carrying a one-relation ship
+  // bundle: checkpointed messages never carry ships, so Read refuses it.
+  BinaryWriter w;
+  w.WriteI64(7);        // src
+  w.WriteDouble(0.25);  // payload
+  w.WriteU64(1);        // ship relations
+  w.WriteI64(0);        // predicate
+  w.WriteU64(1);        // tuples
+  w.WriteU64(1);        // arity
+  w.WriteValue(Value(int64_t{3}));
+  BinaryReader r(w.MoveData());
+  auto read = recovery::CheckpointTraits<OnlineMessage<double>>::Read(r);
+  ASSERT_FALSE(read.ok());
+  EXPECT_TRUE(read.status().IsParseError()) << read.status().ToString();
+}
+
 }  // namespace
 }  // namespace ariadne

@@ -125,41 +125,5 @@ TEST(ProvenanceStoreTest, SaveLoadFileRoundTrip) {
   EXPECT_FALSE(ProvenanceStore::LoadFromFile(path + ".missing").ok());
 }
 
-TEST(ProvenanceStoreTest, LoadsLegacyApv1Image) {
-  // Hand-write the legacy row-major image format and check the current
-  // loader still accepts it.
-  Layer layer = MakeLayer(0, 0, 7, 3);
-  Layer empty_static;
-  BinaryWriter writer;
-  writer.WriteU32(0x41505631);  // "APV1"
-  writer.WriteU64(1);           // one relation
-  writer.WriteString("value");
-  writer.WriteU32(3);
-  SerializeLayer(empty_static, writer);
-  writer.WriteU64(1);  // one layer
-  SerializeLayer(layer, writer);
-  const std::string path = testing::TempDir() + "/ariadne_store_v1.bin";
-  ASSERT_TRUE(WriteFile(path, writer.data()).ok());
-
-  auto loaded = ProvenanceStore::LoadFromFile(path);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_EQ(loaded->num_layers(), 1);
-  EXPECT_EQ(loaded->RelId("value"), 0);
-  auto got = loaded->GetLayer(0);
-  ASSERT_TRUE(got.ok());
-  ASSERT_EQ((*got)->slices.size(), 1u);
-  EXPECT_EQ((*got)->slices[0].tuples.size(), 3u);
-  EXPECT_EQ((*got)->byte_size, layer.byte_size);
-
-  // A reserialized legacy store becomes a (smaller or equal) V2 image
-  // with identical contents.
-  const std::string path2 = testing::TempDir() + "/ariadne_store_v2.bin";
-  ASSERT_TRUE(loaded->SaveToFile(path2).ok());
-  auto reloaded = ProvenanceStore::LoadFromFile(path2);
-  ASSERT_TRUE(reloaded.ok()) << reloaded.status().ToString();
-  EXPECT_EQ(reloaded->TotalBytes(), loaded->TotalBytes());
-  EXPECT_EQ(reloaded->TotalTuples(), loaded->TotalTuples());
-}
-
 }  // namespace
 }  // namespace ariadne

@@ -4,10 +4,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <string>
 
 #include "provenance/store.h"
 #include "storage/layer.h"
+#include "storage/page.h"
 
 namespace ariadne {
 namespace {
@@ -35,6 +37,19 @@ ProvenanceStore MakeStore() {
     EXPECT_TRUE(store.AppendLayer(MakeLayer(s, rel, 25)).ok());
   }
   return store;
+}
+
+/// Bytes before the checksummed body of an APV2 image:
+/// [u32 magic][u32 flags][u64 fnv1a(body)].
+constexpr size_t kHeaderBytes = 16;
+
+/// An unflagged APV2 image of `body` whose header checksum matches it.
+std::string Reseal(const std::string& body) {
+  BinaryWriter header;
+  header.WriteU32(0x41505632);  // "APV2"
+  header.WriteU32(0);
+  header.WriteU64(storage::Fnv1a(body));
+  return header.MoveData() + body;
 }
 
 class StoreCorruptionTest : public testing::Test {
@@ -97,54 +112,64 @@ TEST_F(StoreCorruptionTest, EveryTruncationIsRejected) {
 
 TEST_F(StoreCorruptionTest, TrailingGarbageIsRejected) {
   // Appending bytes breaks the checksum; with a fixed-up checksum the
-  // structural trailing-bytes check must still fire (defense in depth,
-  // exercised directly on the legacy format below).
-  auto loaded = LoadBytes(image_ + std::string(8, '\x7f'));
-  EXPECT_FALSE(loaded.ok());
+  // structural trailing-bytes check must still fire (defense in depth).
+  EXPECT_FALSE(LoadBytes(image_ + std::string(8, '\x7f')).ok());
+  const std::string body = image_.substr(kHeaderBytes);
+  auto resealed = LoadBytes(Reseal(body + std::string(8, '\x7f')));
+  ASSERT_FALSE(resealed.ok());
+  EXPECT_NE(resealed.status().message().find("trailing"), std::string::npos)
+      << resealed.status().ToString();
 }
 
-TEST_F(StoreCorruptionTest, LegacyImageTruncationsAreRejected) {
-  // The legacy APV1 format has no file checksum: its protection is the
-  // per-count bounds validation, so truncations must fail structurally.
-  BinaryWriter writer;
-  writer.WriteU32(0x41505631);  // "APV1"
-  writer.WriteU64(1);
-  writer.WriteString("value");
-  writer.WriteU32(3);
-  Layer empty_static;
-  SerializeLayer(empty_static, writer);
-  writer.WriteU64(2);
-  SerializeLayer(MakeLayer(0, 0, 25), writer);
-  SerializeLayer(MakeLayer(1, 0, 25), writer);
-  const std::string legacy = writer.MoveData();
+TEST_F(StoreCorruptionTest, ResealedTruncationsAreRejected) {
+  // Truncate the body and recompute the checksum: the image passes the
+  // header check, so the per-count bounds validation of the loader and of
+  // the static layer's row-major decoder must fail it structurally.
+  const std::string body = image_.substr(kHeaderBytes);
   {
-    auto ok = LoadBytes(legacy);
+    auto ok = LoadBytes(Reseal(body));
     ASSERT_TRUE(ok.ok()) << ok.status().ToString();
-    EXPECT_EQ(ok->num_layers(), 2);
+    EXPECT_EQ(ok->num_layers(), 4);
   }
-  const size_t stride = std::max<size_t>(1, legacy.size() / 53);
-  for (size_t cut = 4; cut < legacy.size(); cut += stride) {
-    auto loaded = LoadBytes(legacy.substr(0, cut));
-    EXPECT_FALSE(loaded.ok()) << "legacy truncation to " << cut
-                              << " bytes was not detected";
+  const size_t stride = std::max<size_t>(1, body.size() / 53);
+  for (size_t cut = 0; cut < body.size(); cut += stride) {
+    auto loaded = LoadBytes(Reseal(body.substr(0, cut)));
+    EXPECT_FALSE(loaded.ok()) << "resealed truncation to " << cut
+                              << " body bytes was not detected";
   }
 }
 
-TEST_F(StoreCorruptionTest, LegacyCountCorruptionIsBounded) {
-  // Blow up the layer-count field of a legacy image: the loader must
-  // reject it via the bounds guard instead of attempting a huge reserve.
-  BinaryWriter writer;
-  writer.WriteU32(0x41505631);
-  writer.WriteU64(1);
-  writer.WriteString("value");
-  writer.WriteU32(3);
-  Layer empty_static;
-  SerializeLayer(empty_static, writer);
-  writer.WriteU64(uint64_t{1} << 60);  // absurd layer count
-  auto loaded = LoadBytes(writer.MoveData());
+TEST_F(StoreCorruptionTest, ResealedCountCorruptionIsBounded) {
+  // Blow up the static layer's slice count, then the layer count, behind
+  // a valid checksum: the loader must reject each via its bounds guard
+  // instead of attempting a huge reserve.
+  for (bool corrupt_layer_count : {false, true}) {
+    BinaryWriter body;
+    body.WriteU64(1);
+    body.WriteString("value");
+    body.WriteU32(3);
+    body.WriteI64(0);  // static layer step
+    body.WriteU64(corrupt_layer_count ? 0 : uint64_t{1} << 60);  // slices
+    body.WriteU64(corrupt_layer_count ? uint64_t{1} << 60 : 0);  // layers
+    auto loaded = LoadBytes(Reseal(body.data()));
+    ASSERT_FALSE(loaded.ok());
+    EXPECT_TRUE(loaded.status().IsParseError()) << loaded.status().ToString();
+    EXPECT_NE(loaded.status().message().find("exceeds"), std::string::npos)
+        << loaded.status().ToString();
+  }
+}
+
+TEST_F(StoreCorruptionTest, Apv1MagicIsRejected) {
+  // The row-major APV1 image format is no longer read.
+  std::string legacy = image_;
+  const uint32_t apv1 = 0x41505631;  // "APV1"
+  std::memcpy(legacy.data(), &apv1, sizeof(apv1));
+  auto loaded = LoadBytes(legacy);
   ASSERT_FALSE(loaded.ok());
   EXPECT_TRUE(loaded.status().IsParseError()) << loaded.status().ToString();
-  EXPECT_NE(loaded.status().message().find("exceeds"), std::string::npos);
+  EXPECT_NE(loaded.status().message().find("bad provenance store magic"),
+            std::string::npos)
+      << loaded.status().ToString();
 }
 
 }  // namespace
