@@ -35,9 +35,9 @@ struct SessionOptions {
 struct OnlineRunResult {
   RunStats engine_stats;
   QueryResult query_result;
-  /// Transient provenance held in per-vertex databases at the end.
+  /// Transient provenance held in the query state at the end.
   size_t transient_bytes = 0;
-  /// Per-rule evaluator counters, merged over vertices.
+  /// Per-rule evaluator counters, merged over partitions.
   EvalStats eval_stats;
 };
 
@@ -111,7 +111,7 @@ class Session {
       // CopyValuesTo (not values()) so paged vertex state also works.
       ARIADNE_RETURN_NOT_OK(engine.CopyValuesTo(final_values));
     }
-    MergedNodes merged = program.nodes().Merge();
+    MergedNodes merged = program.Merge();
     OnlineRunResult out;
     out.engine_stats = std::move(stats);
     out.query_result = std::move(merged.result);

@@ -202,7 +202,10 @@ class Engine {
       MasterContext master;
       master.superstep = step;
       master.aggregators = &aggregators_;
+      master.pool = &pool_;
+      phase_timer.Restart();
       program.MasterCompute(master);
+      const double master_seconds = phase_timer.ElapsedSeconds();
 
       stats.supersteps = step + 1;
       stats.total_messages += counters.sent;
@@ -212,6 +215,7 @@ class Engine {
       stats.rebuild_seconds += rebuild_seconds;
       stats.compute_seconds += compute_seconds;
       stats.merge_seconds += merge_seconds;
+      stats.master_seconds += master_seconds;
       stats.steps.push_back(SuperstepStats{
           .step = step,
           .active_vertices = static_cast<int64_t>(active_.size()),
@@ -219,7 +223,8 @@ class Engine {
           .seconds = step_timer.ElapsedSeconds(),
           .rebuild_seconds = rebuild_seconds,
           .compute_seconds = compute_seconds,
-          .merge_seconds = merge_seconds});
+          .merge_seconds = merge_seconds,
+          .master_seconds = master_seconds});
 
       std::swap(inbox_, next_inbox_);
 

@@ -108,11 +108,13 @@ struct SuperstepStats {
   int64_t messages_sent = 0;
   double seconds = 0.0;
   /// Phase breakdown: active-list rebuild, parallel compute (phase 1),
-  /// owner merge (phase 2). compute + merge <= seconds; the remainder is
-  /// aggregator/master work.
+  /// owner merge (phase 2) and the program's MasterCompute at the barrier
+  /// (where online queries evaluate). rebuild + compute + merge + master
+  /// <= seconds; the remainder is aggregator bookkeeping.
   double rebuild_seconds = 0.0;
   double compute_seconds = 0.0;
   double merge_seconds = 0.0;
+  double master_seconds = 0.0;
 };
 
 /// Statistics for a whole run; the provenance overhead experiments report
@@ -134,6 +136,7 @@ struct RunStats {
   double rebuild_seconds = 0.0;
   double compute_seconds = 0.0;
   double merge_seconds = 0.0;
+  double master_seconds = 0.0;
 
   // -- Recovery counters (DESIGN.md §2.4) --
 

@@ -142,47 +142,78 @@ OfflineNodes::OfflineNodes(const Graph* graph, const ProvenanceStore* store,
     owned_adjacency_ = std::make_unique<AdjacencyCache>(graph);
     adjacency_ = owned_adjacency_.get();
   }
+  Reset();
 }
 
 void OfflineNodes::Reset() {
   nodes_.Reset();
   inbox_.clear();
   next_inbox_.clear();
+  batches_.assign(nodes_.num_partitions(), ShipBatch{});
+  next_batches_.assign(nodes_.num_partitions(), ShipBatch{});
 }
 
 void OfflineNodes::InsertSlice(const LayerSlice& slice) {
   const int pred = PredOf(slice.rel);
   if (pred < 0) return;  // relation not referenced by this query
-  Relation& rel = nodes_.Db(slice.vertex).Rel(pred);
-  for (const Tuple& t : slice.tuples) rel.Insert(t);
+  for (const Tuple& t : slice.tuples) nodes_.Insert(slice.vertex, pred, t);
 }
 
 void OfflineNodes::Barrier() {
   inbox_ = std::move(next_inbox_);
   next_inbox_.clear();
+  std::swap(batches_, next_batches_);
+  for (ShipBatch& batch : next_batches_) batch.Clear();
 }
 
-bool OfflineNodes::StepVertex(VertexId v,
-                              std::span<const LayerSlice* const> facts,
-                              const ShipRoutes& routes, int max_stratum) {
-  if (auto it = inbox_.find(v); it != inbox_.end()) {
-    for (const ShipBundlePtr& ships : it->second) nodes_.Deliver(v, *ships);
+std::vector<VertexId> OfflineNodes::Recipients() const {
+  std::vector<VertexId> out;
+  out.reserve(inbox_.size());
+  for (const auto& [v, entries] : inbox_) out.push_back(v);
+  return out;
+}
+
+bool OfflineNodes::Round(
+    std::span<const VertexId> active,
+    const std::function<std::span<const LayerSlice* const>(VertexId)>& facts,
+    const ShipRoutes& routes, int max_stratum) {
+  std::vector<size_t> partitions;
+  for (VertexId v : active) {
+    nodes_.Activate(v);
+    if (auto it = inbox_.find(v); it != inbox_.end()) {
+      for (const InboxEntry& entry : it->second) {
+        nodes_.InsertShips(v, batches_[entry.partition], entry.range);
+      }
+    }
+    if (facts) {
+      for (const LayerSlice* slice : facts(v)) InsertSlice(*slice);
+    }
+    const size_t p = NodeDatabases::PartitionOf(v);
+    if (partitions.empty() || partitions.back() != p) partitions.push_back(p);
   }
-  for (const LayerSlice* slice : facts) InsertSlice(*slice);
-  Result<bool> evaluated = nodes_.Evaluate(v, max_stratum);
-  if (!evaluated.ok()) return false;
-  bool progress = *evaluated;
-  if (query_->shipped_preds().empty()) return progress;
-  for (ShipRouting routing :
-       {ShipRouting::kAlongMessages, ShipRouting::kAlongReverseMessages,
-        ShipRouting::kAlongOutEdges, ShipRouting::kAlongInEdges}) {
-    ShipBundlePtr bundle = nodes_.CollectShips(v, routing);
-    if (bundle == nullptr) continue;
-    progress = true;
-    for (VertexId target : routes.Targets(v, routing, *adjacency_)) {
-      next_inbox_[target].push_back(bundle);
+  bool progress = false;
+  for (size_t p : partitions) {
+    Result<bool> evaluated = nodes_.EvaluatePartition(p, max_stratum);
+    if (evaluated.ok() && *evaluated) progress = true;
+  }
+  if (!query_->shipped_preds().empty()) {
+    for (VertexId v : active) {
+      const size_t p = NodeDatabases::PartitionOf(v);
+      for (ShipRouting routing :
+           {ShipRouting::kAlongMessages, ShipRouting::kAlongReverseMessages,
+            ShipRouting::kAlongOutEdges, ShipRouting::kAlongInEdges}) {
+        const ShipRange range =
+            nodes_.CollectShips(v, routing, &next_batches_[p]);
+        if (range.empty()) continue;
+        progress = true;
+        for (VertexId target : routes.Targets(v, routing, *adjacency_)) {
+          next_inbox_[target].push_back(
+              InboxEntry{static_cast<uint32_t>(p), range});
+        }
+      }
     }
   }
+  for (size_t p : partitions) nodes_.EndRound(p);
   return progress;
 }
 
@@ -285,7 +316,7 @@ Status LayeredQueryRun::Step(const LayerView& view) {
       active[static_cast<size_t>(v)] = v;
     }
   } else {
-    for (const auto& [v, ships] : core_.inbox()) active.push_back(v);
+    active = core_.Recipients();
     for (const auto& [v, slices] : view.by_vertex) {
       // A shared superset view may hold slices of relations this query
       // never reads; they must not count as "touched".
@@ -299,25 +330,27 @@ Status LayeredQueryRun::Step(const LayerView& view) {
     SortUnique(active);
   }
 
-  for (VertexId v : active) {
-    // This layer's facts for v (InsertSlice skips relations the query
-    // does not read), after the static segment on the first step.
-    std::span<const LayerSlice* const> facts;
-    auto it = view.by_vertex.find(v);
-    if (step == 0) {
-      facts_.clear();
-      if (auto s = static_index_.find(v); s != static_index_.end()) {
-        facts_ = s->second;
-      }
-      if (it != view.by_vertex.end()) {
-        facts_.insert(facts_.end(), it->second.begin(), it->second.end());
-      }
-      facts = facts_;
-    } else if (it != view.by_vertex.end()) {
-      facts = it->second;
-    }
-    core_.StepVertex(v, facts, view.routes);
-  }
+  // This layer's facts for v (InsertSlice skips relations the query does
+  // not read), after the static segment on the first step.
+  core_.Round(active,
+              [&](VertexId v) -> std::span<const LayerSlice* const> {
+                auto it = view.by_vertex.find(v);
+                if (step == 0) {
+                  facts_.clear();
+                  if (auto s = static_index_.find(v);
+                      s != static_index_.end()) {
+                    facts_ = s->second;
+                  }
+                  if (it != view.by_vertex.end()) {
+                    facts_.insert(facts_.end(), it->second.begin(),
+                                  it->second.end());
+                  }
+                  return facts_;
+                }
+                if (it == view.by_vertex.end()) return {};
+                return it->second;
+              },
+              view.routes);
 
   ++processing_step_;
   return core_.BackendStatus("layered step " + std::to_string(step));

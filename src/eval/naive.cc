@@ -54,12 +54,11 @@ Result<OfflineRun> NaiveEvaluator::Run() {
   int stratum = 0;
   int64_t stratum_rounds = 0;
   Superstep rounds = 0;
+  std::vector<VertexId> all(static_cast<size_t>(n));
+  for (VertexId v = 0; v < n; ++v) all[static_cast<size_t>(v)] = v;
   for (;;) {
     core.Barrier();
-    bool progress = false;
-    for (VertexId v = 0; v < n; ++v) {
-      progress |= core.StepVertex(v, {}, routes, stratum);
-    }
+    const bool progress = core.Round(all, {}, routes, stratum);
     ++rounds;
     ++stratum_rounds;
     ARIADNE_RETURN_NOT_OK(core.nodes().status());

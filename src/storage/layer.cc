@@ -36,6 +36,38 @@ void SerializeLayer(const Layer& layer, BinaryWriter& writer) {
   }
 }
 
+size_t SerializedLayerBytes(const Layer& layer) {
+  // Mirrors SerializeLayer and BinaryWriter::WriteValue field by field.
+  size_t bytes = sizeof(int64_t) + sizeof(uint64_t);  // step, slice count
+  for (const auto& slice : layer.slices) {
+    bytes += sizeof(uint32_t) + sizeof(int64_t) + sizeof(uint64_t);
+    for (const Tuple& t : slice.tuples) {
+      bytes += sizeof(uint32_t);
+      for (const Value& v : t) {
+        bytes += sizeof(uint8_t);  // kind tag
+        switch (v.kind()) {
+          case Value::Kind::kNull:
+            break;
+          case Value::Kind::kInt:
+            bytes += sizeof(int64_t);
+            break;
+          case Value::Kind::kDouble:
+            bytes += sizeof(double);
+            break;
+          case Value::Kind::kString:
+            bytes += sizeof(uint64_t) + v.AsString().size();
+            break;
+          case Value::Kind::kDoubleVector:
+            bytes += sizeof(uint64_t) +
+                     v.AsDoubleVector().size() * sizeof(double);
+            break;
+        }
+      }
+    }
+  }
+  return bytes;
+}
+
 Result<Layer> DeserializeLayer(BinaryReader& reader) {
   Layer layer;
   ARIADNE_ASSIGN_OR_RETURN(int64_t step, reader.ReadI64());

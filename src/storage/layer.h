@@ -50,6 +50,10 @@ struct Layer {
 void SerializeLayer(const Layer& layer, BinaryWriter& writer);
 Result<Layer> DeserializeLayer(BinaryReader& reader);
 
+/// Bytes SerializeLayer would write for `layer`, computed without
+/// writing them (the compression-ratio denominator of spilled layers).
+size_t SerializedLayerBytes(const Layer& layer);
+
 }  // namespace ariadne
 
 #endif  // ARIADNE_STORAGE_LAYER_H_

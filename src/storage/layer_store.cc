@@ -160,8 +160,7 @@ void LayerStore::FlushEntry(Entry* entry) {
       refs.push_back(ref);
     }
   }
-  BinaryWriter raw;
-  SerializeLayer(*layer, raw);
+  const size_t raw_bytes = SerializedLayerBytes(*layer);
   const std::string path =
       options_.dir + "/layer_" + std::to_string(layer->step) + ".apg";
   // Bounded retry with exponential backoff + jitter (common/retry.h):
@@ -199,7 +198,7 @@ void LayerStore::FlushEntry(Entry* entry) {
       ++stats_.layers_flushed;
       stats_.pages_written += pages.size();
       stats_.compressed_bytes += page_bytes;
-      stats_.raw_serialized_bytes += raw.size();
+      stats_.raw_serialized_bytes += raw_bytes;
       stats_.flush_seconds += seconds;
       EvictResidentsLocked();
     } else if (!degraded_ && entry->quarantines == 0) {

@@ -84,6 +84,18 @@ TEST(VarintTest, TruncatedVarintFails) {
   EXPECT_FALSE(reader.ReadVarint().ok());
 }
 
+TEST(LayerSerializationTest, SerializedLayerBytesMatchesSerializeLayer) {
+  // MixedLayer holds every Value kind: null, int, double, string and
+  // double vector, plus the empty layer and an empty string payload.
+  for (int n : {0, 1, 17}) {
+    const Layer layer = MixedLayer(2, n);
+    EXPECT_EQ(SerializedLayerBytes(layer), Dump(layer).size()) << n;
+  }
+  Layer layer;
+  layer.Add(3, 7, {{Value(std::string()), Value(std::vector<double>{})}});
+  EXPECT_EQ(SerializedLayerBytes(layer), Dump(layer).size());
+}
+
 TEST(PageCodecTest, LayerRoundTripsThroughPages) {
   const Layer layer = MixedLayer(3, 50);
   const auto pages = storage::EncodeLayer(layer, 512);

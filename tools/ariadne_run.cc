@@ -61,6 +61,7 @@ struct Args {
   /// --graph-budget-fraction.
   double mem_budget_mb = 0;
   int flush_threads = 1;
+  int threads = 1;  ///< engine worker threads (EngineOptions::num_threads)
   std::string graph_backend = "memory";  ///< memory|paged
   double graph_budget_fraction =
       storage::kDefaultGraphBudgetFraction;  ///< graph share of total budget
@@ -90,7 +91,7 @@ int Usage() {
                "  [--param name=value ...] [--mode online|capture]\n"
                "  [--store-out <file>] [--source V] [--iterations N]\n"
                "  [--retention W] [--dump <table>] [--no-plan]\n"
-               "  [--spill-dir <dir>] [--mem-budget-mb M] "
+               "  [--threads N] [--spill-dir <dir>] [--mem-budget-mb M] "
                "[--flush-threads N]\n"
                "  [--graph-backend memory|paged] "
                "[--graph-budget-fraction F] [--graph-spill <file>]\n"
@@ -162,6 +163,7 @@ std::string EngineStatsJson(const RunStats& s) {
       .Set("rebuild_seconds", s.rebuild_seconds)
       .Set("compute_seconds", s.compute_seconds)
       .Set("merge_seconds", s.merge_seconds)
+      .Set("master_seconds", s.master_seconds)
       .Set("checkpoints_written", s.checkpoints_written)
       .Set("checkpoint_seconds", s.checkpoint_seconds)
       .Set("checkpoint_failures", s.checkpoint_failures)
@@ -354,6 +356,7 @@ int WriteStatsJson(const std::string& path, const json::JsonObject& root) {
 template <typename P>
 int RunWith(const Args& args, const Graph& graph, P& program) {
   SessionOptions session_options;
+  session_options.engine.num_threads = static_cast<size_t>(args.threads);
   session_options.plan_joins = args.plan_joins;
   session_options.engine.checkpoint_dir = args.checkpoint_dir;
   session_options.engine.checkpoint_every = args.checkpoint_every;
@@ -593,6 +596,12 @@ int main(int argc, char** argv) {
       args.mem_budget_mb = std::atof(v);
     } else if (flag == "--flush-threads" && (v = next())) {
       args.flush_threads = std::atoi(v);
+    } else if (flag == "--threads" && (v = next())) {
+      args.threads = std::atoi(v);
+      if (args.threads < 1 || args.threads > 256) {
+        std::fprintf(stderr, "threads: expected 1..256, got '%s'\n", v);
+        return Usage();
+      }
     } else if (flag == "--graph-backend" && (v = next())) {
       args.graph_backend = v;
     } else if (flag == "--graph-budget-fraction" && (v = next())) {
