@@ -17,6 +17,7 @@
 #include <cstdlib>
 #include <new>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bench_common.h"
@@ -277,6 +278,8 @@ int RunPlanningSweep(const std::string& json_path) {
       .SetRaw("workload", workload.Dump())
       .Set("reps", bench::BenchReps())
       .Set("speedup_planned_over_unplanned", speedup)
+      .Set("host_hardware_threads",
+           static_cast<int64_t>(std::thread::hardware_concurrency()))
       .SetRaw("results", bench::JsonArray(rows, 4));
   return bench::WriteJson(json_path, top) ? 0 : 1;
 }

@@ -19,6 +19,7 @@
 #include <cstdio>
 #include <future>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bench_common.h"
@@ -243,6 +244,8 @@ int RunServeSweep(const std::string& json_path) {
   top.Set("bench", "serve_superstep_sharing")
       .SetRaw("workload", workload.Dump())
       .Set("results_verified_identical_to_one_shot", true)
+      .Set("host_hardware_threads",
+           static_cast<int64_t>(std::thread::hardware_concurrency()))
       .SetRaw("results", bench::JsonArray(rows, 4));
   return bench::WriteJson(json_path, top) ? 0 : 1;
 }

@@ -8,6 +8,9 @@
 namespace ariadne {
 namespace {
 
+/// Holders of a database that keeps one vertex's state.
+constexpr Holder kOneHolder[] = {0};
+
 Tuple T(std::initializer_list<Value> vals) { return Tuple(vals); }
 Value I(int64_t v) { return Value(v); }
 Value D(double v) { return Value(v); }
@@ -154,9 +157,10 @@ TEST(EvaluatorTest, CountAggregateOverStaticEdges) {
   for (VertexId v = 0; v < 3; ++v) {
     Database db(&q);
     EvalContext ctx;
-  ctx.db = &db;
-  ctx.graph = &*g;
-  ctx.local_vertex = v;
+    ctx.db = &db;
+    ctx.graph = &*g;
+    ctx.holder_base = v;
+    ctx.holders = kOneHolder;
     ASSERT_TRUE(eval.Evaluate(ctx).ok());
     const Relation* deg = db.RelIfExists(q.PredId("in-degree"));
     ASSERT_NE(deg, nullptr);
@@ -208,7 +212,8 @@ TEST(EvaluatorTest, AggregateFeedsLaterStratum) {
   EvalContext ctx0;
   ctx0.db = &db0;
   ctx0.graph = &*g;
-  ctx0.local_vertex = VertexId{0};
+  ctx0.holder_base = VertexId{0};
+  ctx0.holders = kOneHolder;
   ASSERT_TRUE(eval.Evaluate(ctx0).ok());
   EXPECT_EQ(db0.RelIfExists(q.PredId("orphan-mail"))->size(), 1u);
   // Vertex 1 (has an in-edge) received mail: fine.
@@ -217,7 +222,8 @@ TEST(EvaluatorTest, AggregateFeedsLaterStratum) {
   EvalContext ctx1;
   ctx1.db = &db1;
   ctx1.graph = &*g;
-  ctx1.local_vertex = VertexId{1};
+  ctx1.holder_base = VertexId{1};
+  ctx1.holders = kOneHolder;
   ASSERT_TRUE(eval.Evaluate(ctx1).ok());
   const Relation* flagged = db1.RelIfExists(q.PredId("orphan-mail"));
   EXPECT_TRUE(flagged == nullptr || flagged->empty());
@@ -240,7 +246,8 @@ TEST(EvaluatorTest, StaticEdgeEnumerationModes) {
   EvalContext local;
   local.db = &db1;
   local.graph = &*g;
-  local.local_vertex = VertexId{1};
+  local.holder_base = VertexId{1};
+  local.holders = kOneHolder;
   ASSERT_TRUE(eval.Evaluate(local).ok());
   // Out-edge (1,2) only: the head location is bound to 1 and pair(x,y)
   // requires x == 1.
@@ -259,7 +266,8 @@ TEST(EvaluatorTest, EdgeValuePassesWeightThrough) {
   EvalContext ctx;
   ctx.db = &db;
   ctx.graph = &*g;
-  ctx.local_vertex = VertexId{0};
+  ctx.holder_base = VertexId{0};
+  ctx.holders = kOneHolder;
   RuleEvaluator eval(&q);
   ASSERT_TRUE(eval.Evaluate(ctx).ok());
   EXPECT_EQ(db.RelIfExists(q.PredId("w"))->ToSortedStrings(),
@@ -307,8 +315,9 @@ TEST(EvaluatorTest, QueryResultMergesAcrossDatabases) {
     Database db(&q);
     db.Rel(q.PredId("superstep")).Insert(T({I(v), I(0)}));
     EvalContext ctx;
-  ctx.db = &db;
-  ctx.local_vertex = VertexId{v};
+    ctx.db = &db;
+    ctx.holder_base = VertexId{v};
+    ctx.holders = kOneHolder;
     ASSERT_TRUE(eval.Evaluate(ctx).ok());
     result.Merge(q, db);
   }
