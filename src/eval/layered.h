@@ -13,7 +13,7 @@ namespace ariadne {
 /// processing step — ascending for forward queries, descending for
 /// backward queries — and shipping remote tables along the recorded
 /// message edges (or static edges for edge-guarded queries). Memory stays
-/// bounded by one layer plus the per-vertex evaluation state, unlike
+/// bounded by one layer plus the query's evaluation state, unlike
 /// naive evaluation.
 ///
 /// This is the one-shot driver over the resumable LayeredQueryRun

@@ -9,7 +9,7 @@
 namespace ariadne {
 
 /// The traditional baseline (paper §6.2 "Naive"): materialize the entire
-/// provenance graph — every layer into the per-vertex databases at once —
+/// provenance graph — every layer into the query state at once —
 /// and run stratified semi-naive evaluation to fixpoint in rounds over
 /// the shared offline core (eval/layered_step.h), shipping remote tables
 /// along every recorded message edge. Correct for every query class, but
