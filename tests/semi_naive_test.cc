@@ -1,5 +1,5 @@
 // Focused tests of the evaluator's incremental machinery: delta drivers,
-// epoch-guarded watermarks (retention / aggregate rebuilds), existential
+// kill-generation rescans (retention / aggregate rebuilds), existential
 // subgoals, and incremental aggregates — the optimizations DESIGN.md §6
 // calls out.
 
@@ -51,10 +51,11 @@ TEST(SemiNaiveTest, IncrementalInsertsAcrossManyRounds) {
   EXPECT_TRUE(db.RelIfExists(reach)->Contains({I(0), I(6)}));
 }
 
-TEST(SemiNaiveTest, RetentionEpochForcesCorrectRescan) {
-  // After RemoveIf rebuilds an input relation, the rule must rescan it
-  // (row-index watermarks are invalid across epochs) without losing or
-  // duplicating derivations.
+TEST(SemiNaiveTest, RetentionKillSkipsRedundantRescan) {
+  // After retention kills old input rows, the rule picks up the new fact
+  // exactly once and keeps its derived results. Walking the surviving
+  // rows again could derive nothing (no negation, no aggregate), so the
+  // holder is not rescanned.
   AnalyzedQuery q = MustAnalyze("p(x, i) <- superstep(x, i).");
   Database db(&q);
   EvalContext ctx;
@@ -65,14 +66,87 @@ TEST(SemiNaiveTest, RetentionEpochForcesCorrectRescan) {
   ASSERT_TRUE(eval.Evaluate(ctx).ok());
   EXPECT_EQ(db.RelIfExists(q.PredId("p"))->size(), 6u);
 
-  // Trim old rows (epoch bump), add a new one, re-evaluate.
-  steps.RemoveIf(
-      [](const Relation::RowView& row) { return row.AsInt(1) < 4; });
+  // Trim old rows (holder 0's kill generation moves), add a new one.
+  steps.KillHolderIf(
+      0, [](const Relation::RowView& row) { return row.AsInt(1) < 4; });
   steps.Insert({I(1), I(6)});
   ASSERT_TRUE(eval.Evaluate(ctx).ok());
-  // Derived results persist; the new fact is picked up exactly once.
   EXPECT_EQ(db.RelIfExists(q.PredId("p"))->size(), 7u);
   EXPECT_TRUE(db.RelIfExists(q.PredId("p"))->Contains({I(1), I(6)}));
+  EXPECT_EQ(db.eval_stats().rules[0].delta_rescans, 0u);
+}
+
+TEST(SemiNaiveTest, KilledDriverRowsRescanHolderWhenNegationCanFlip) {
+  // The negated relation can lose rows, so once the driver's holder lost
+  // rows its surviving older rows are walked again: a negation that
+  // became true derives, as a fresh evaluation of the holder would.
+  StoreSchema schema{{{"blocked", 2}}};
+  AnalyzedQuery q =
+      MustAnalyze("ok(x, i) <- superstep(x, i), !blocked(x, i).", &schema);
+  Database db(&q);
+  EvalContext ctx;
+  ctx.db = &db;
+  RuleEvaluator eval(&q);
+  Relation& steps = db.Rel(q.PredId("superstep"));
+  Relation& blocked = db.Rel(q.PredId("blocked"));
+  for (int64_t s = 0; s < 3; ++s) steps.Insert({I(1), I(s)});
+  blocked.Insert({I(1), I(1)});
+  ASSERT_TRUE(eval.Evaluate(ctx).ok());
+  const Relation* ok = db.RelIfExists(q.PredId("ok"));
+  EXPECT_EQ(ok->size(), 2u);
+  EXPECT_FALSE(ok->Contains({I(1), I(1)}));
+
+  blocked.KillHolder(0);
+  steps.KillHolderIf(
+      0, [](const Relation::RowView& row) { return row.AsInt(1) == 0; });
+  ASSERT_TRUE(eval.Evaluate(ctx).ok());
+  EXPECT_TRUE(ok->Contains({I(1), I(1)}));
+  EXPECT_EQ(ok->size(), 3u);  // (1, 0) stays derived
+  EXPECT_EQ(db.eval_stats().rules[0].delta_rescans, 1u);
+
+  // A holder whose live rows are all new is walked by the delta alone.
+  steps.KillHolder(0);
+  steps.Insert({I(1), I(7)});
+  ASSERT_TRUE(eval.Evaluate(ctx).ok());
+  EXPECT_TRUE(ok->Contains({I(1), I(7)}));
+  EXPECT_EQ(db.eval_stats().rules[0].delta_rescans, 1u);
+}
+
+TEST(SemiNaiveTest, OnlyHoldersThatLostDriverRowsAreRescanned) {
+  // Holder-scoped: holder h is vertex 10 + h. Both holders lose their
+  // block, but only holder 0's driver rows are killed, so only holder 0
+  // is rescanned — what two private databases would have done.
+  StoreSchema schema{{{"blocked", 2}}};
+  AnalyzedQuery q =
+      MustAnalyze("ok(x, i) <- superstep(x, i), !blocked(x, i).", &schema);
+  Database db(&q);
+  const std::vector<Holder> holders = {0, 1};
+  EvalContext ctx;
+  ctx.db = &db;
+  ctx.holder_base = VertexId{10};
+  ctx.holders = holders;
+  RuleEvaluator eval(&q);
+  Relation& steps = db.Rel(q.PredId("superstep"));
+  Relation& blocked = db.Rel(q.PredId("blocked"));
+  for (Holder h : holders) {
+    const int64_t v = 10 + int64_t{h};
+    for (int64_t s = 0; s < 3; ++s) steps.Insert(h, Tuple{I(v), I(s)});
+    blocked.Insert(h, Tuple{I(v), I(1)});
+  }
+  ASSERT_TRUE(eval.Evaluate(ctx).ok());
+  const Relation* ok = db.RelIfExists(q.PredId("ok"));
+  EXPECT_EQ(ok->holder_size(0), 2u);
+  EXPECT_EQ(ok->holder_size(1), 2u);
+
+  blocked.KillHolder(0);
+  blocked.KillHolder(1);
+  steps.KillHolderIf(
+      0, [](const Relation::RowView& row) { return row.AsInt(1) == 0; });
+  ASSERT_TRUE(eval.Evaluate(ctx).ok());
+  EXPECT_TRUE(ok->Contains(0, Tuple{I(10), I(1)}));
+  EXPECT_EQ(ok->holder_size(0), 3u);
+  EXPECT_EQ(ok->holder_size(1), 2u);
+  EXPECT_EQ(db.eval_stats().rules[0].delta_rescans, 1u);
 }
 
 TEST(SemiNaiveTest, IncrementalAggregateTracksGrowingInput) {
@@ -103,7 +177,7 @@ TEST(SemiNaiveTest, IncrementalAggregateTracksGrowingInput) {
   EXPECT_TRUE(peers->Contains({I(1), I(2)}));  // distinct peers, not rows
 }
 
-TEST(SemiNaiveTest, IncrementalAggregateSurvivesInputRebuild) {
+TEST(SemiNaiveTest, IncrementalAggregateSurvivesKilledInput) {
   StoreSchema schema{{{"obs", 3}}};
   AnalyzedQuery q = MustAnalyze("total(x, SUM(e)) <- obs(x, y, e).", &schema);
   Database db(&q);
@@ -115,15 +189,48 @@ TEST(SemiNaiveTest, IncrementalAggregateSurvivesInputRebuild) {
   obs.Insert({I(1), I(11), Value(3.0)});
   ASSERT_TRUE(eval.Evaluate(ctx).ok());
   EXPECT_TRUE(db.RelIfExists(q.PredId("total"))->Contains({I(1), Value(5.0)}));
-  // Rebuild the input (epoch bump): persistent state must reset, not
-  // double count.
-  obs.RemoveIf([](const Relation::RowView& row) {
+  // The holder lost an input row: its persistent group state must be
+  // rebuilt from the surviving rows, not keep or double count the row.
+  obs.KillHolderIf(0, [](const Relation::RowView& row) {
     return row.Equals(1, Value(int64_t{10}));
   });
   ASSERT_TRUE(eval.Evaluate(ctx).ok());
   const Relation* total = db.RelIfExists(q.PredId("total"));
   EXPECT_EQ(total->size(), 1u);
   EXPECT_TRUE(total->Contains({I(1), Value(3.0)}));
+  EXPECT_EQ(db.eval_stats().rules[0].delta_rescans, 1u);
+}
+
+TEST(SemiNaiveTest, IncrementalAggregateRebuildsOnlyTheKilledHolder) {
+  StoreSchema schema{{{"obs", 3}}};
+  AnalyzedQuery q = MustAnalyze("total(x, SUM(e)) <- obs(x, y, e).", &schema);
+  Database db(&q);
+  const std::vector<Holder> holders = {0, 1};
+  EvalContext ctx;
+  ctx.db = &db;
+  ctx.holder_base = VertexId{0};
+  ctx.holders = holders;
+  RuleEvaluator eval(&q);
+  Relation& obs = db.Rel(q.PredId("obs"));
+  obs.Insert(0, Tuple{I(0), I(10), Value(2.0)});
+  obs.Insert(0, Tuple{I(0), I(11), Value(3.0)});
+  obs.Insert(1, Tuple{I(1), I(10), Value(4.0)});
+  ASSERT_TRUE(eval.Evaluate(ctx).ok());
+  const Relation* total = db.RelIfExists(q.PredId("total"));
+  EXPECT_TRUE(total->Contains(0, Tuple{I(0), Value(5.0)}));
+  EXPECT_TRUE(total->Contains(1, Tuple{I(1), Value(4.0)}));
+
+  // Holder 0 loses a row and is rebuilt; holder 1 only folds its delta.
+  obs.KillHolderIf(0, [](const Relation::RowView& row) {
+    return row.Equals(1, Value(int64_t{10}));
+  });
+  obs.Insert(1, Tuple{I(1), I(12), Value(1.0)});
+  ASSERT_TRUE(eval.Evaluate(ctx).ok());
+  EXPECT_EQ(total->holder_size(0), 1u);
+  EXPECT_TRUE(total->Contains(0, Tuple{I(0), Value(3.0)}));
+  EXPECT_EQ(total->holder_size(1), 1u);
+  EXPECT_TRUE(total->Contains(1, Tuple{I(1), Value(5.0)}));
+  EXPECT_EQ(db.eval_stats().rules[0].delta_rescans, 1u);
 }
 
 TEST(SemiNaiveTest, ExistentialFlagComputedForDeadWitnessVars) {
