@@ -1,6 +1,6 @@
 // Golden answers of the evaluation core: sorted table dumps and the total
 // `derived` counter of the paper's queries in every mode ValidateMode
-// admits, plus digests of interpreted capture images. The files under
+// admits, plus digests of interpreted and compiled capture images. The files under
 // tests/data/golden/ were recorded once and are compared byte for byte;
 // every case runs at 1 and at 4 engine threads against the same file.
 //
@@ -112,7 +112,7 @@ AlsOptions SmallAls() {
   return options;
 }
 
-enum class Analytic { kPageRank, kApproxPageRank, kSssp, kAls };
+enum class Analytic { kPageRank, kApproxPageRank, kSssp, kAls, kWcc };
 
 const char* AnalyticName(Analytic a) {
   switch (a) {
@@ -124,6 +124,8 @@ const char* AnalyticName(Analytic a) {
       return "sssp";
     case Analytic::kAls:
       return "als";
+    case Analytic::kWcc:
+      return "wcc";
   }
   return "?";
 }
@@ -146,6 +148,10 @@ Status WithAnalytic(Analytic a, VertexId num_users, Fn&& fn) {
     }
     case Analytic::kAls: {
       AlsProgram program(SmallAls(), num_users);
+      return fn(program);
+    }
+    case Analytic::kWcc: {
+      WccProgram program;
       return fn(program);
     }
   }
@@ -404,6 +410,76 @@ TEST(EvalGoldenTest, InterpretedCaptureImages) {
       }
     }
     CheckGolden("capture_images", digests, threads);
+  }
+}
+
+/// The line of golden file `name` that starts with `prefix`, or "".
+std::string GoldenLine(const std::string& name, const std::string& prefix) {
+  std::ifstream in(GoldenPath(name), std::ios::binary);
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.rfind(prefix, 0) == 0) return line;
+  }
+  return "";
+}
+
+TEST(EvalGoldenTest, CompiledCaptureImages) {
+  // The default capture path: projection-only queries compile to
+  // FastCapturePlan. ALS payloads are double vectors (mixed encoding);
+  // WCC on the symmetric grid sends duplicate identical messages along
+  // reciprocal edges, which must collapse.
+  struct Capture {
+    std::string name;
+    std::string text;
+  };
+  const Capture captures[] = {
+      {"q2", queries::CaptureFull()},
+      {"q11", queries::CaptureCustomBackward()},
+  };
+  struct Input {
+    Analytic analytic;
+    std::string graph;
+  };
+  const Input inputs[] = {{Analytic::kPageRank, "rmat"},
+                          {Analytic::kSssp, "rmat"},
+                          {Analytic::kAls, "als"},
+                          {Analytic::kWcc, "grid"}};
+  for (size_t threads : kThreadCounts) {
+    std::string digests;
+    for (const Input& in : inputs) {
+      VertexId num_users = 0;
+      auto graph = MakeGraph(in.graph, &num_users);
+      ASSERT_TRUE(graph.ok()) << graph.status().ToString();
+      Session session(&*graph, WithThreads(threads));
+      for (const Capture& c : captures) {
+        SCOPED_TRACE(c.name + " " + AnalyticName(in.analytic) + " at " +
+                     std::to_string(threads) + " threads");
+        auto query = session.PrepareOnline(c.text);
+        ASSERT_TRUE(query.ok()) << query.status().ToString();
+        ASSERT_TRUE(query->fast_capture().has_value());
+        ProvenanceStore store;
+        ASSERT_TRUE(WithAnalytic(in.analytic, num_users,
+                                 [&](auto& program) -> Status {
+                                   return session
+                                       .Capture(program, *query, &store)
+                                       .status();
+                                 })
+                        .ok());
+        auto image = store.SerializeToString();
+        ASSERT_TRUE(image.ok()) << image.status().ToString();
+        const std::string line = c.name + " " + AnalyticName(in.analytic) +
+                                 " " + std::to_string(image->size()) + " " +
+                                 Digest(*image);
+        digests += line + "\n";
+        if (c.name == "q2" && in.graph == "rmat") {
+          // Compiled and interpreted capture store the same bytes.
+          EXPECT_EQ(line, GoldenLine("capture_images",
+                                     c.name + " " + AnalyticName(in.analytic) +
+                                         " "));
+        }
+      }
+    }
+    CheckGolden("compiled_capture_images", digests, threads);
   }
 }
 
