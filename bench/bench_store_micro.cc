@@ -9,50 +9,58 @@
 #include <cstdio>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bench_common.h"
 #include "common/timer.h"
 #include "core/ariadne.h"
+#include "storage/capture_batch.h"
 #include "storage/layer_store.h"
 #include "storage/page.h"
 
 namespace ariadne {
 namespace {
 
-/// A synthetic provenance-shaped layer: int-heavy columns with a step
-/// constant, like the capture path produces.
-Layer SyntheticLayer(Superstep step, int n_vertices) {
-  Layer layer;
-  layer.step = step;
+/// A synthetic provenance-shaped layer written the way capture writes
+/// one: int-heavy columns with a step constant, relation by relation in
+/// vertex order.
+storage::CaptureBatch SyntheticBatch(Superstep step, int n_vertices) {
+  storage::CaptureBatch batch;
+  batch.step = step;
   for (int v = 0; v < n_vertices; ++v) {
-    layer.Add(0, v,
-              {{Value(int64_t{v}), Value(static_cast<int64_t>(step)),
-                Value(1.0 / (v + 1))}});
-    if (v + 1 < n_vertices) {
-      layer.Add(1, v,
-                {{Value(int64_t{v}), Value(int64_t{v + 1}),
-                  Value(static_cast<int64_t>(step))}});
-    }
+    batch.BeginSlice(0, v);
+    batch.AddInt(v);
+    batch.AddInt(step);
+    batch.AddDouble(1.0 / (v + 1));
+    batch.EndRow();
+    batch.EndSlice();
   }
-  layer.Canonicalize();
-  return layer;
+  for (int v = 0; v + 1 < n_vertices; ++v) {
+    batch.BeginSlice(1, v);
+    batch.AddInt(v);
+    batch.AddInt(v + 1);
+    batch.AddInt(step);
+    batch.EndRow();
+    batch.EndSlice();
+  }
+  return batch;
 }
 
-void BM_EncodeLayer(benchmark::State& state) {
-  const Layer layer = SyntheticLayer(3, 2000);
+void BM_EncodeBatch(benchmark::State& state) {
+  const storage::CaptureBatch batch = SyntheticBatch(3, 2000);
   for (auto _ : state) {
-    auto pages = storage::EncodeLayer(layer, storage::kDefaultPageSize);
+    auto pages = storage::EncodeBatch(batch, storage::kDefaultPageSize);
     benchmark::DoNotOptimize(pages.size());
   }
   state.SetBytesProcessed(state.iterations() *
-                          static_cast<int64_t>(layer.byte_size));
+                          static_cast<int64_t>(batch.byte_size()));
 }
-BENCHMARK(BM_EncodeLayer);
+BENCHMARK(BM_EncodeBatch);
 
 void BM_DecodePages(benchmark::State& state) {
-  const Layer layer = SyntheticLayer(3, 2000);
-  const auto pages = storage::EncodeLayer(layer, storage::kDefaultPageSize);
+  const storage::CaptureBatch batch = SyntheticBatch(3, 2000);
+  const auto pages = storage::EncodeBatch(batch, storage::kDefaultPageSize);
   for (auto _ : state) {
     Layer decoded;
     for (const auto& page : pages) {
@@ -61,13 +69,13 @@ void BM_DecodePages(benchmark::State& state) {
     benchmark::DoNotOptimize(decoded.slices.size());
   }
   state.SetBytesProcessed(state.iterations() *
-                          static_cast<int64_t>(layer.byte_size));
+                          static_cast<int64_t>(batch.byte_size()));
 }
 BENCHMARK(BM_DecodePages);
 
 void BM_PageSerializeParse(benchmark::State& state) {
-  const Layer layer = SyntheticLayer(1, 500);
-  const auto pages = storage::EncodeLayer(layer, storage::kDefaultPageSize);
+  const storage::CaptureBatch batch = SyntheticBatch(1, 500);
+  const auto pages = storage::EncodeBatch(batch, storage::kDefaultPageSize);
   ARIADNE_CHECK(!pages.empty());
   for (auto _ : state) {
     std::string wire;
@@ -102,12 +110,14 @@ int RunStoreSweep(const std::string& json_path) {
   std::fprintf(stderr, "captured %d layers, %zu bytes\n", n_layers,
                total_bytes);
 
-  // Append + background-flush throughput into a fresh spilling store.
-  std::vector<std::shared_ptr<const Layer>> layers;
+  // Append + background-flush throughput of capture's column batches
+  // into a fresh spilling store.
+  std::vector<std::shared_ptr<const storage::CaptureBatch>> layers;
   for (int s = 0; s < n_layers; ++s) {
     auto layer = reference.GetLayer(s);
     ARIADNE_CHECK(layer.ok());
-    layers.push_back(std::make_shared<Layer>(**layer));
+    layers.push_back(std::make_shared<const storage::CaptureBatch>(
+        storage::CaptureBatch::FromLayer(**layer)));
   }
   storage::StorageStats flush_stats;
   const double append_seconds = bench::TimedSeconds([&] {
@@ -221,6 +231,8 @@ int RunStoreSweep(const std::string& json_path) {
       .Set("provenance_bytes", static_cast<int64_t>(total_bytes))
       .Set("mem_budget_bytes", static_cast<int64_t>(total_bytes / 4))
       .Set("reps", bench::BenchReps())
+      .Set("host_hardware_threads",
+           static_cast<int64_t>(std::thread::hardware_concurrency()))
       .SetRaw("append_flush", append.Dump())
       .SetRaw("layered_query", query.Dump())
       .SetRaw("compression", compression.Dump());

@@ -64,6 +64,7 @@ Database& NodeDatabases::Db(Partition& part) {
     part.ship_scan.assign(query_->shipped_preds().size(), 0);
     part.pending.resize(holders * query_->shipped_preds().size());
     part.capture_mark.assign(query_->output_preds().size(), 0);
+    part.captured.resize(holders * query_->output_preds().size());
     part.last_retention.assign(holders, 0);
     part.retention_cutoff.assign(holders, -1);
   }
@@ -206,37 +207,37 @@ ShipRange NodeDatabases::CollectShips(VertexId v,
   return range;
 }
 
-void NodeDatabases::CollectCaptures(
-    size_t p,
-    const std::function<void(VertexId, int, std::vector<Tuple>)>& emit) {
+void NodeDatabases::CollectCaptures(size_t p, const CaptureVisitor& emit) {
   Partition& part = parts_[p];
   if (part.db == nullptr) return;
   const std::vector<int>& outputs = query_->output_preds();
+  const size_t n_out = outputs.size();
   const VertexId base = static_cast<VertexId>(p) * kPartitionVertices;
-  // [holder][k]: the holder's new self-located rows of output k.
-  std::vector<std::vector<std::vector<Tuple>>> deltas;
-  for (size_t k = 0; k < outputs.size(); ++k) {
+  bool any = false;
+  for (size_t k = 0; k < n_out; ++k) {
     const Relation* rel = part.db->RelIfExists(outputs[k]);
     if (rel == nullptr) continue;
     for (size_t i = part.capture_mark[k]; i < rel->end_row(); ++i) {
       if (!rel->alive(i)) continue;
       const Holder holder = rel->holder_of(i);
       const Relation::RowView row = rel->row_view(i);
-      if (row.size() == 0 ||
-          !row.Equals(0, Value(static_cast<int64_t>(base + holder)))) {
+      if (row.size() == 0 || !row.is_int(0) ||
+          row.AsInt(0) != base + static_cast<VertexId>(holder)) {
         continue;
       }
-      if (deltas.size() <= holder) deltas.resize(size_t{holder} + 1);
-      if (deltas[holder].empty()) deltas[holder].resize(outputs.size());
-      deltas[holder][k].push_back(row.ToTuple());
+      part.captured[holder * n_out + k].push_back(static_cast<uint32_t>(i));
+      any = true;
     }
     part.capture_mark[k] = rel->end_row();
   }
-  for (size_t h = 0; h < deltas.size(); ++h) {
-    for (size_t k = 0; k < deltas[h].size(); ++k) {
-      if (deltas[h][k].empty()) continue;
+  if (!any) return;
+  for (Holder h = 0; h < kPartitionVertices; ++h) {
+    for (size_t k = 0; k < n_out; ++k) {
+      std::vector<uint32_t>& rows = part.captured[h * n_out + k];
+      if (rows.empty()) continue;
       emit(base + static_cast<VertexId>(h), outputs[k],
-           std::move(deltas[h][k]));
+           *part.db->RelIfExists(outputs[k]), rows);
+      rows.clear();
     }
   }
 }

@@ -128,14 +128,15 @@ class NodeDatabases {
 
   /// Output rows located at their holder that partition `p` derived since
   /// the last call, per holder ascending, then per output predicate:
-  /// `emit(v, pred, tuples)`. Rows that arrived via ships belong to their
-  /// own vertex's capture (persisting copies would multiply the store by
-  /// the average degree). An aggregate head whose rows changed emits its
-  /// whole new set (Relation::ReplaceHolder appends it), so each layer
-  /// holds the current groups of every vertex whose aggregate changed.
-  void CollectCaptures(
-      size_t p,
-      const std::function<void(VertexId, int, std::vector<Tuple>)>& emit);
+  /// `emit(v, pred, relation, row ids)`, the ids ascending. Rows that
+  /// arrived via ships belong to their own vertex's capture (persisting
+  /// copies would multiply the store by the average degree). An aggregate
+  /// head whose rows changed emits its whole new set
+  /// (Relation::ReplaceHolder appends it), so each layer holds the
+  /// current groups of every vertex whose aggregate changed.
+  using CaptureVisitor = std::function<void(
+      VertexId, int, const Relation&, std::span<const uint32_t>)>;
+  void CollectCaptures(size_t p, const CaptureVisitor& emit);
 
   /// Online EDB retention at `v` after its activation at `step` (see
   /// DropHistory): every 2*window steps the history older than `window`
@@ -159,6 +160,8 @@ class NodeDatabases {
     std::vector<std::vector<uint32_t>> pending;  ///< [holder * K + k]
     /// Per output_preds() position: rows below it were collected.
     std::vector<size_t> capture_mark;
+    /// Row ids CollectCaptures is emitting, [holder * outputs + k].
+    std::vector<std::vector<uint32_t>> captured;
     std::vector<Superstep> last_retention;  ///< per holder
     /// Per holder: the cutoff of a retention still to apply, or -1.
     std::vector<Superstep> retention_cutoff;

@@ -2,11 +2,10 @@
 #define ARIADNE_EVAL_ONLINE_H_
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <memory>
-#include <mutex>
 #include <span>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -16,6 +15,7 @@
 #include "eval/common.h"
 #include "provenance/store.h"
 #include "recovery/checkpoint.h"
+#include "storage/capture_batch.h"
 #include "storage/page.h"
 
 namespace ariadne {
@@ -91,7 +91,9 @@ struct OnlineOptions {
 /// The same wrapper implements declarative capture (paper Fig 1a): with a
 /// ProvenanceStore attached, the query's derived tuples are persisted per
 /// layer. Projection-only capture queries (paper Queries 2 and 11) take a
-/// compiled fast path that bypasses Datalog evaluation entirely.
+/// compiled fast path that bypasses Datalog evaluation entirely. Either
+/// way each partition writes its rows into its own column batch at the
+/// barrier, and the sealed layer joins them in partition order.
 template <typename P>
 class OnlineProgram final
     : public VertexProgram<typename P::ValueType,
@@ -151,8 +153,8 @@ class OnlineProgram final
     for (size_t p = 0; p < nodes_.num_partitions(); ++p) {
       partition_step_[p].store(-1, std::memory_order_relaxed);
     }
-    partition_slices_.assign(nodes_.num_partitions(), {});
-    current_layer_ = Layer{};
+    partition_batches_.assign(
+        options_.store != nullptr ? nodes_.num_partitions() : 0, {});
     first_error_ = Status::OK();
     capture_degraded_ = false;
     capture_degraded_at_ = -1;
@@ -165,29 +167,8 @@ class OnlineProgram final
 
   void MasterCompute(MasterContext& master) override {
     analytic_->MasterCompute(master);
-    if (!FastPath()) EvaluateBarrier(master);
-    if (options_.store != nullptr) {
-      std::lock_guard<std::mutex> lock(mu_);
-      Layer sealed = std::move(current_layer_);
-      sealed.step = master.superstep;
-      current_layer_ = Layer{};
-      // Slices arrive in worker-scheduling order under multi-threaded
-      // capture; canonicalize so the sealed layer (and everything
-      // serialized from it) is identical for any engine thread count. The
-      // slices themselves are already deterministic because the engine
-      // guarantees serial-order message delivery (DESIGN.md §2).
-      sealed.Canonicalize();
-      if (capture_off_) return;  // degraded, policy = capture-off
-      if (forward_lineage_only_) StripToSkeletonLocked(&sealed);
-      Status s = options_.store->AppendLayer(std::move(sealed));
-      if (s.ok() && !capture_degraded_) {
-        // Append succeeds while the write-behind flusher still has
-        // allowance, so also poll the sticky flush error here: the
-        // barrier is where the degrade ladder can act on it.
-        s = options_.store->storage_flush_error();
-      }
-      if (!s.ok()) HandleAppendFailureLocked(master.superstep, s);
-    }
+    EvaluateBarrier(master);
+    if (options_.store != nullptr) SealLayer(master.superstep);
   }
 
   void Compute(VertexContext<V, WrappedMessage>& ctx,
@@ -203,13 +184,9 @@ class OnlineProgram final
     analytic_->Compute(adapter, payloads);
 
     // 2. Record the transient provenance of this step: the barrier
-    //    evaluates the query over it (or project it straight into the
+    //    evaluates the query over it (or projects it straight into the
     //    layer on the fast capture path).
-    if (FastPath()) {
-      FastCapture(ctx, adapter, messages);
-    } else {
-      Record(ctx, adapter, messages);
-    }
+    Record(ctx, adapter, messages);
     last_active_[static_cast<size_t>(v)] = step;
 
     // 3. Release the analytic's messages.
@@ -248,7 +225,7 @@ class OnlineProgram final
     if (!analytic_->checkpoint_supported(why)) return false;
     if (options_.store == nullptr) {
       if (why != nullptr) {
-        *why = "online query evaluation keeps per-vertex Datalog state "
+        *why = "online query evaluation keeps per-partition Datalog state "
                "that does not serialize; checkpointing supports capture "
                "runs only";
       }
@@ -256,9 +233,9 @@ class OnlineProgram final
     }
     if (!query_->fast_capture().has_value() || options_.disable_fast_capture) {
       if (why != nullptr) {
-        *why = "capture via the generic evaluation path keeps per-vertex "
-               "Datalog state; only projection-only (fast-capture) queries "
-               "support checkpointing";
+        *why = "capture via the generic evaluation path keeps "
+               "per-partition Datalog state; only projection-only "
+               "(fast-capture) queries support checkpointing";
       }
       return false;
     }
@@ -298,22 +275,13 @@ class OnlineProgram final
       BinaryWriter segment;
       segment.WriteU64(static_cast<uint64_t>(n_layers - checkpointed_layers_));
       for (int step = checkpointed_layers_; step < n_layers; ++step) {
-        auto layer = options_.store->GetLayer(step);
-        if (!layer.ok()) {
-          return layer.status().WithContext("checkpointing layer " +
-                                            std::to_string(step));
+        // Same per-layer record as the APV2 image, so resumed stores
+        // re-serialize byte-identically.
+        Status written = options_.store->WriteLayerRecord(step, segment);
+        if (!written.ok()) {
+          return written.WithContext("checkpointing layer " +
+                                     std::to_string(step));
         }
-        // Same per-layer encoding as the APV2 image (default page size),
-        // so resumed stores re-serialize byte-identically.
-        const std::vector<storage::Page> pages =
-            storage::EncodeLayer(**layer, storage::kDefaultPageSize);
-        std::string blob;
-        for (const storage::Page& page : pages) {
-          storage::SerializePage(page, &blob);
-        }
-        segment.WriteI64((*layer)->step);
-        segment.WriteU64(pages.size());
-        segment.WriteString(blob);
       }
       ARIADNE_ASSIGN_OR_RETURN(
           segments_valid_bytes_,
@@ -537,9 +505,10 @@ class OnlineProgram final
         a.step, std::memory_order_relaxed);
   }
 
-  /// Generic path, barrier side: every partition with an activation this
-  /// superstep evaluates once, in parallel on the engine's workers; then
-  /// the capture deltas join the current layer in partition order.
+  /// Barrier side: every partition with an activation this superstep
+  /// evaluates the query once (or, on the fast capture path, projects its
+  /// activations), in parallel on the engine's workers, each writing its
+  /// capture rows into its own batch.
   void EvaluateBarrier(MasterContext& master) {
     const Superstep step = master.superstep;
     std::vector<size_t> parts;
@@ -548,19 +517,44 @@ class OnlineProgram final
         parts.push_back(p);
       }
     }
+    const bool fast = FastPath();
     auto run = [&](size_t /*worker*/, size_t /*chunk*/, size_t begin,
                    size_t end) {
-      for (size_t i = begin; i < end; ++i) EvaluatePartition(parts[i], step);
+      for (size_t i = begin; i < end; ++i) {
+        if (fast) {
+          ProjectPartition(parts[i], step);
+        } else {
+          EvaluatePartition(parts[i], step);
+        }
+      }
     };
     master.pool->ParallelForChunked(parts.size(), 1, run);
-    if (options_.store == nullptr) return;
-    std::lock_guard<std::mutex> lock(mu_);
-    for (size_t p : parts) {
-      for (LayerSlice& slice : partition_slices_[p]) {
-        current_layer_.Add(slice.rel, slice.vertex, std::move(slice.tuples));
-      }
-      partition_slices_[p].clear();
+  }
+
+  /// Joins the partitions' batches into the layer of `step` and appends
+  /// it. Partitions cover ascending vertex ranges, so the layer is in
+  /// canonical (relation, vertex) order for any engine thread count with
+  /// no lock and no sort; the rows themselves are deterministic because
+  /// the engine delivers messages in serial order (DESIGN.md §2).
+  void SealLayer(Superstep step) {
+    if (capture_off_) {  // degraded, policy = capture-off
+      for (storage::CaptureBatch& batch : partition_batches_) batch.Clear();
+      return;
     }
+    const int skeleton[] = {skeleton_superstep_rel_, skeleton_evolution_rel_};
+    storage::CaptureBatch sealed = storage::CaptureBatch::Concat(
+        step, partition_batches_,
+        forward_lineage_only_ ? std::span<const int>(skeleton)
+                              : std::span<const int>());
+    for (storage::CaptureBatch& batch : partition_batches_) batch.Clear();
+    Status s = options_.store->AppendBatch(std::move(sealed));
+    if (s.ok() && !capture_degraded_) {
+      // Append succeeds while the write-behind flusher still has
+      // allowance, so also poll the sticky flush error here: the
+      // barrier is where the degrade ladder can act on it.
+      s = options_.store->storage_flush_error();
+    }
+    if (!s.ok()) HandleAppendFailure(step, s);
   }
 
   /// One partition's share of a barrier, in the per-vertex order of the
@@ -649,43 +643,30 @@ class OnlineProgram final
     nodes_.EndRound(p);
   }
 
-  /// Moves partition p's newly derived output rows located at their
+  /// Writes partition p's newly derived output rows located at their
   /// vertex (and the superstep/evolution skeleton of every vertex that
-  /// has some) into the partition's slices for the current layer.
+  /// has some) into the partition's batch for the current layer.
   void PersistCaptureDeltas(size_t p, Superstep step) {
-    std::vector<LayerSlice>& slices = partition_slices_[p];
+    storage::CaptureBatch& batch = partition_batches_[p];
     VertexId last = -1;
-    nodes_.CollectCaptures(
-        p, [&](VertexId v, int pred, std::vector<Tuple> tuples) {
-          if (v != last) {
-            if (last >= 0) AppendSkeleton(slices, last, step);
-            last = v;
-          }
-          slices.push_back(LayerSlice{capture_rels_[static_cast<size_t>(pred)],
-                                      v, std::move(tuples)});
-        });
-    if (last >= 0) AppendSkeleton(slices, last, step);
-  }
-
-  /// Reduces a sealed layer to the forward-lineage skeleton (superstep +
-  /// evolution relations) for the kForwardLineage degraded mode.
-  void StripToSkeletonLocked(Layer* sealed) {
-    Layer skeleton;
-    skeleton.step = sealed->step;
-    for (auto& slice : sealed->slices) {
-      if (slice.rel == skeleton_superstep_rel_ ||
-          slice.rel == skeleton_evolution_rel_) {
-        skeleton.Add(slice.rel, slice.vertex, std::move(slice.tuples));
+    nodes_.CollectCaptures(p, [&](VertexId v, int pred, const Relation& rel,
+                                  std::span<const uint32_t> rows) {
+      if (v != last) {
+        if (last >= 0) AppendSkeleton(batch, last, step);
+        last = v;
       }
-    }
-    *sealed = std::move(skeleton);
+      batch.BeginSlice(capture_rels_[static_cast<size_t>(pred)], v);
+      for (uint32_t row : rows) batch.AddRow(rel.row_view(row));
+      batch.EndSlice();
+    });
+    if (last >= 0) AppendSkeleton(batch, last, step);
   }
 
   /// The degradation ladder (DESIGN.md §2.4). The failed layer itself is
-  /// never lost: AppendLayer registers the entry before reporting a flush
+  /// never lost: AppendBatch registers the entry before reporting a flush
   /// error, so the store still holds complete layers up to and including
   /// `step` — only later supersteps are degraded.
-  void HandleAppendFailureLocked(Superstep step, const Status& s) {
+  void HandleAppendFailure(Superstep step, const Status& s) {
     if (options_.degrade_policy == CaptureDegradePolicy::kFail ||
         capture_degraded_) {
       if (first_error_.ok()) first_error_ = s;
@@ -709,94 +690,80 @@ class OnlineProgram final
   }
 
   /// The superstep/evolution skeleton rows of v's activation at `step`.
-  void AppendSkeleton(std::vector<LayerSlice>& slices, VertexId v,
+  void AppendSkeleton(storage::CaptureBatch& batch, VertexId v,
                       Superstep step) {
-    const Value loc(static_cast<int64_t>(v));
-    slices.push_back(LayerSlice{skeleton_superstep_rel_, v,
-                                {{loc, Value(static_cast<int64_t>(step))}}});
+    batch.BeginSlice(skeleton_superstep_rel_, v);
+    batch.AddInt(v);
+    batch.AddInt(step);
+    batch.EndRow();
+    batch.EndSlice();
     const Superstep prev = activations_[static_cast<size_t>(v)].prev;
     if (prev >= 0) {
-      slices.push_back(LayerSlice{skeleton_evolution_rel_, v,
-                                  {{loc, Value(static_cast<int64_t>(prev)),
-                                    Value(static_cast<int64_t>(step))}}});
+      batch.BeginSlice(skeleton_evolution_rel_, v);
+      batch.AddInt(v);
+      batch.AddInt(prev);
+      batch.AddInt(step);
+      batch.EndRow();
+      batch.EndSlice();
     }
   }
 
-  /// Fast path for projection-only capture queries: no query database,
-  /// records project straight into the layer.
-  void FastCapture(VertexContext<V, WrappedMessage>& ctx, Adapter& adapter,
-                   std::span<const WrappedMessage> messages) {
-    const VertexId v = ctx.id();
-    const Superstep step = ctx.superstep();
-    const Value loc(static_cast<int64_t>(v));
-    const Value step_v(static_cast<int64_t>(step));
+  /// Fast path for projection-only capture queries, barrier side: no
+  /// query database; each active vertex of partition p projects its
+  /// recorded activation straight into the partition's batch. A vertex
+  /// with no projected row gets no skeleton either.
+  void ProjectPartition(size_t p, Superstep step) {
+    storage::CaptureBatch& batch = partition_batches_[p];
     const auto& plan = *query_->fast_capture();
-
-    std::vector<std::pair<int, std::vector<Tuple>>> out;
-    // Provenance relations are sets: duplicate identical events (e.g. a
-    // WCC vertex messaging a reciprocal neighbor via both adjacency
-    // directions) must collapse, exactly as the interpreted path dedups.
-    std::unordered_set<Tuple, TupleHash> seen;
-    auto project = [&](const FastCaptureProjection& projection,
-                       const Tuple& source, std::vector<Tuple>& sink) {
-      Tuple t;
-      t.reserve(projection.columns.size());
-      for (int col : projection.columns) {
-        t.push_back(col == -1 ? step_v : source[static_cast<size_t>(col)]);
-      }
-      if (seen.insert(t).second) sink.push_back(std::move(t));
-    };
-
-    for (size_t pi = 0; pi < plan.projections.size(); ++pi) {
-      const auto& projection = plan.projections[pi];
-      const int store_rel = FastCaptureRel(pi);
-      seen.clear();
-      std::vector<Tuple> tuples;
-      switch (projection.source) {
-        case EdbKind::kVertexValueNow:
-          project(projection, {loc, ValueTraits<V>::ToValue(ctx.value())},
-                  tuples);
-          break;
-        case EdbKind::kValue:
-          project(projection,
-                  {loc, ValueTraits<V>::ToValue(ctx.value()), step_v},
-                  tuples);
-          break;
-        case EdbKind::kSendNow:
-        case EdbKind::kSendMessage:
-          for (const auto& [target, payload] : adapter.sends) {
-            project(projection,
-                    {loc, Value(static_cast<int64_t>(target)),
-                     ValueTraits<M>::ToValue(payload), step_v},
-                    tuples);
+    const VertexId base = static_cast<VertexId>(p) * kPartitionVertices;
+    const VertexId end =
+        std::min<VertexId>(base + kPartitionVertices, graph_->num_vertices());
+    const Value step_v(static_cast<int64_t>(step));
+    for (VertexId v = base; v < end; ++v) {
+      const Activation& a = activations_[static_cast<size_t>(v)];
+      if (a.step != step) continue;
+      const Value loc(static_cast<int64_t>(v));
+      bool captured = false;
+      for (size_t pi = 0; pi < plan.projections.size(); ++pi) {
+        const FastCaptureProjection& projection = plan.projections[pi];
+        // Provenance relations are sets: duplicate identical events (e.g.
+        // a WCC vertex messaging a reciprocal neighbor via both adjacency
+        // directions) collapse, exactly as the interpreted path dedups.
+        batch.BeginSlice(FastCaptureRel(pi), v, /*dedup=*/true);
+        auto row = [&](std::array<const Value*, 4> source) {
+          for (int col : projection.columns) {
+            batch.AddValue(col == -1 ? step_v
+                                     : *source[static_cast<size_t>(col)]);
           }
-          break;
-        case EdbKind::kReceiveNow:
-        case EdbKind::kReceiveMessage:
-          for (const auto& m : messages) {
-            project(projection,
-                    {loc, Value(static_cast<int64_t>(m.src)),
-                     ValueTraits<M>::ToValue(m.payload), step_v},
-                    tuples);
-          }
-          break;
-        case EdbKind::kEdge:
-          break;  // static, projected once in ProjectStaticCapture
-        default:
-          break;
+          batch.EndRow();
+        };
+        switch (projection.source) {
+          case EdbKind::kVertexValueNow:
+            row({&loc, &a.value, nullptr, nullptr});
+            break;
+          case EdbKind::kValue:
+            row({&loc, &a.value, &step_v, nullptr});
+            break;
+          case EdbKind::kSendNow:
+          case EdbKind::kSendMessage:
+            for (const auto& [target, payload] : a.sent) {
+              const Value to(static_cast<int64_t>(target));
+              row({&loc, &to, &payload, &step_v});
+            }
+            break;
+          case EdbKind::kReceiveNow:
+          case EdbKind::kReceiveMessage:
+            for (const auto& [src, payload] : a.received) {
+              const Value from(static_cast<int64_t>(src));
+              row({&loc, &from, &payload, &step_v});
+            }
+            break;
+          default:
+            break;  // edges: static, projected once in ProjectStaticCapture
+        }
+        captured = batch.EndSlice() || captured;
       }
-      if (!tuples.empty()) out.emplace_back(store_rel, std::move(tuples));
-    }
-    if (out.empty()) return;
-    const Superstep prev = last_active_[static_cast<size_t>(v)];
-    std::lock_guard<std::mutex> lock(mu_);
-    for (auto& [rel, tuples] : out) {
-      current_layer_.Add(rel, v, std::move(tuples));
-    }
-    current_layer_.Add(skeleton_superstep_rel_, v, {{loc, step_v}});
-    if (prev >= 0) {
-      current_layer_.Add(skeleton_evolution_rel_, v,
-                         {{loc, Value(static_cast<int64_t>(prev)), step_v}});
+      if (captured) AppendSkeleton(batch, v, step);
     }
   }
 
@@ -855,15 +822,14 @@ class OnlineProgram final
   /// index s & 1 while reading the rows shipped at step s - 1.
   std::vector<ShipBatch> ship_batches_[2];  ///< per partition
   std::vector<ShipRef> ship_refs_[2];       ///< per vertex
-  /// Capture deltas of the current barrier, per partition.
-  std::vector<std::vector<LayerSlice>> partition_slices_;
+  /// Capture rows of the current barrier, per partition (capacity is
+  /// kept across supersteps).
+  std::vector<storage::CaptureBatch> partition_batches_;
   std::vector<int> capture_rels_;  ///< store rel per output pred id, or -1
   int skeleton_superstep_rel_ = -1;
   int skeleton_evolution_rel_ = -1;
 
-  std::mutex mu_;
-  Layer current_layer_;
-  Status first_error_;  ///< first capture-append failure (under mu_)
+  Status first_error_;  ///< first capture-append failure
   bool capture_degraded_ = false;
   Superstep capture_degraded_at_ = -1;
   bool capture_off_ = false;          ///< degraded, kCaptureOff

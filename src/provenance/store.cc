@@ -65,8 +65,13 @@ Status ProvenanceStore::ConfigureStorage(storage::LayerStoreOptions options) {
   return layers_->Configure(std::move(options));
 }
 
+Status ProvenanceStore::AppendBatch(storage::CaptureBatch batch) {
+  return layers_->Append(
+      std::make_shared<const storage::CaptureBatch>(std::move(batch)));
+}
+
 Status ProvenanceStore::AppendLayer(Layer layer) {
-  return layers_->Append(std::make_shared<Layer>(std::move(layer)));
+  return layers_->Append(std::make_shared<const Layer>(std::move(layer)));
 }
 
 Status ProvenanceStore::Flush() { return layers_->Drain(); }
@@ -109,6 +114,20 @@ Status ProvenanceStore::SaveToFile(const std::string& path) const {
   return WriteFile(path, image);
 }
 
+Status ProvenanceStore::WriteLayerRecord(int step, BinaryWriter& w) const {
+  ARIADNE_ASSIGN_OR_RETURN(
+      std::vector<storage::Page> pages,
+      layers_->EncodePages(step, storage::kDefaultPageSize));
+  std::string blob;
+  for (const storage::Page& page : pages) {
+    storage::SerializePage(page, &blob);
+  }
+  w.WriteI64(step);
+  w.WriteU64(pages.size());
+  w.WriteString(blob);
+  return Status::OK();
+}
+
 Result<std::string> ProvenanceStore::SerializeToString() const {
   BinaryWriter body;
   if (degraded()) {
@@ -128,22 +147,10 @@ Result<std::string> ProvenanceStore::SerializeToString() const {
   const int n_layers = layers_->num_layers();
   body.WriteU64(static_cast<uint64_t>(n_layers));
   for (int step = 0; step < n_layers; ++step) {
-    auto layer = layers_->Read(step);
-    if (!layer.ok()) {
-      return layer.status().WithContext("saving layer " +
-                                        std::to_string(step));
+    Status written = WriteLayerRecord(step, body);
+    if (!written.ok()) {
+      return written.WithContext("saving layer " + std::to_string(step));
     }
-    // Always re-encode with the default page size: the image bytes are
-    // then independent of the spill configuration the store ran under.
-    const std::vector<storage::Page> pages =
-        storage::EncodeLayer(**layer, storage::kDefaultPageSize);
-    std::string blob;
-    for (const storage::Page& page : pages) {
-      storage::SerializePage(page, &blob);
-    }
-    body.WriteI64((*layer)->step);
-    body.WriteU64(pages.size());
-    body.WriteString(blob);
   }
   BinaryWriter out;
   out.WriteU32(kStoreMagicV2);

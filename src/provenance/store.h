@@ -20,11 +20,12 @@ namespace ariadne {
 /// relations (e.g. the prov-edges copy of paper Query 11).
 ///
 /// Layer storage is delegated to storage::LayerStore: with a spill
-/// configuration, sealed layers are encoded into compressed columnar pages
-/// and written behind by a background flusher (the stand-in for the
-/// paper's asynchronous HDFS offload), decoded copies are evicted under a
-/// byte budget, and reads are served resident -> page cache -> disk,
-/// optionally restricted to a relation subset.
+/// configuration, sealed layers' column batches are encoded into
+/// compressed columnar pages and written behind by a background flusher
+/// (the stand-in for the paper's asynchronous HDFS offload), in-memory
+/// copies are evicted under a byte budget, and reads are served resident
+/// -> batch -> page cache -> disk, optionally restricted to a relation
+/// subset.
 class ProvenanceStore {
  public:
   ProvenanceStore() : layers_(std::make_unique<storage::LayerStore>()) {}
@@ -61,6 +62,9 @@ class ProvenanceStore {
   /// Seals the layer for superstep `num_layers()`. With spill enabled the
   /// encode+write happens on the background flusher, so the superstep
   /// barrier is not held up (bounded by the write-behind backpressure).
+  /// Capture appends its column batch; AppendLayer takes a decoded layer
+  /// (a reloaded image, a resumed checkpoint, tests).
+  Status AppendBatch(storage::CaptureBatch batch);
   Status AppendLayer(Layer layer);
 
   /// Waits for all background writes to hit disk and re-enforces the
@@ -109,6 +113,12 @@ class ProvenanceStore {
   /// any spill configuration or engine thread count.
   Status SaveToFile(const std::string& path) const;
   static Result<ProvenanceStore> LoadFromFile(const std::string& path);
+
+  /// Writes layer `step`'s image record: its step, page count and the
+  /// serialized pages at the default page size (so the bytes do not
+  /// depend on the spill configuration). APV2 images and checkpoint
+  /// segments are sequences of these records.
+  Status WriteLayerRecord(int step, BinaryWriter& w) const;
 
   /// The framed APV2 image as bytes / its inverse. SaveToFile and
   /// LoadFromFile are thin wrappers; checkpoints embed the image bytes in

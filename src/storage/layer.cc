@@ -1,7 +1,5 @@
 #include "storage/layer.h"
 
-#include <algorithm>
-
 namespace ariadne {
 
 void Layer::Add(int rel, VertexId vertex, std::vector<Tuple> tuples) {
@@ -12,14 +10,6 @@ void Layer::Add(int rel, VertexId vertex, std::vector<Tuple> tuples) {
   slice.tuples = std::move(tuples);
   for (const Tuple& t : slice.tuples) byte_size += TupleByteSize(t);
   slices.push_back(std::move(slice));
-}
-
-void Layer::Canonicalize() {
-  std::stable_sort(slices.begin(), slices.end(),
-                   [](const LayerSlice& a, const LayerSlice& b) {
-                     if (a.rel != b.rel) return a.rel < b.rel;
-                     return a.vertex < b.vertex;
-                   });
 }
 
 void SerializeLayer(const Layer& layer, BinaryWriter& writer) {
@@ -34,38 +24,6 @@ void SerializeLayer(const Layer& layer, BinaryWriter& writer) {
       for (const Value& v : t) writer.WriteValue(v);
     }
   }
-}
-
-size_t SerializedLayerBytes(const Layer& layer) {
-  // Mirrors SerializeLayer and BinaryWriter::WriteValue field by field.
-  size_t bytes = sizeof(int64_t) + sizeof(uint64_t);  // step, slice count
-  for (const auto& slice : layer.slices) {
-    bytes += sizeof(uint32_t) + sizeof(int64_t) + sizeof(uint64_t);
-    for (const Tuple& t : slice.tuples) {
-      bytes += sizeof(uint32_t);
-      for (const Value& v : t) {
-        bytes += sizeof(uint8_t);  // kind tag
-        switch (v.kind()) {
-          case Value::Kind::kNull:
-            break;
-          case Value::Kind::kInt:
-            bytes += sizeof(int64_t);
-            break;
-          case Value::Kind::kDouble:
-            bytes += sizeof(double);
-            break;
-          case Value::Kind::kString:
-            bytes += sizeof(uint64_t) + v.AsString().size();
-            break;
-          case Value::Kind::kDoubleVector:
-            bytes += sizeof(uint64_t) +
-                     v.AsDoubleVector().size() * sizeof(double);
-            break;
-        }
-      }
-    }
-  }
-  return bytes;
 }
 
 Result<Layer> DeserializeLayer(BinaryReader& reader) {

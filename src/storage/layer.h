@@ -25,22 +25,17 @@ struct LayerSlice {
 };
 
 /// One layer of the provenance graph (Definition 5.1): everything captured
-/// during one superstep, in the compact per-vertex representation. Also
-/// the unit of storage: the page codec (storage/page.h) encodes one layer
-/// into fixed-size compressed pages, and the layer store spills/reloads
-/// whole layers or per-relation subsets of them.
+/// during one superstep, in the compact per-vertex representation. This
+/// is the decoded read format: capture writes a storage::CaptureBatch
+/// (storage/capture_batch.h), the page codec (storage/page.h) encodes
+/// batches into fixed-size compressed pages, and reads decode pages or an
+/// unflushed batch into a Layer of whole layers or per-relation subsets.
 struct Layer {
   Superstep step = 0;
   std::vector<LayerSlice> slices;
   size_t byte_size = 0;
 
   void Add(int rel, VertexId vertex, std::vector<Tuple> tuples);
-
-  /// Sorts slices into (rel, vertex) order. Capture wrappers call this
-  /// before sealing a layer: multi-threaded capture appends slices in
-  /// scheduling order, and canonicalizing makes the stored provenance —
-  /// and its serialized bytes — identical for any engine thread count.
-  void Canonicalize();
 };
 
 /// Row-major layer serialization: the static segment of an APV2 store
@@ -49,10 +44,6 @@ struct Layer {
 /// use the page codec (storage/page.h) instead.
 void SerializeLayer(const Layer& layer, BinaryWriter& writer);
 Result<Layer> DeserializeLayer(BinaryReader& reader);
-
-/// Bytes SerializeLayer would write for `layer`, computed without
-/// writing them (the compression-ratio denominator of spilled layers).
-size_t SerializedLayerBytes(const Layer& layer);
 
 }  // namespace ariadne
 

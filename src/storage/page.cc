@@ -28,92 +28,92 @@ void AppendDoubleRaw(std::string* out, double d) {
   out->append(buf, sizeof(double));
 }
 
-void AppendValueTagged(std::string* out, const Value& v) {
-  out->push_back(static_cast<char>(v.kind()));
-  switch (v.kind()) {
+using Cell = CaptureBatch::Cell;
+
+void AppendCellTagged(std::string* out, const CaptureBatch& batch,
+                      const Cell& c) {
+  out->push_back(static_cast<char>(c.tag));
+  switch (c.tag) {
     case Value::Kind::kNull:
       break;
     case Value::Kind::kInt:
-      AppendZigzag(out, v.AsInt());
+      AppendZigzag(out, c.i);
       break;
     case Value::Kind::kDouble:
-      AppendDoubleRaw(out, v.AsDouble());
+      AppendDoubleRaw(out, c.d);
       break;
     case Value::Kind::kString: {
-      const std::string& s = v.AsString();
+      const std::string_view s = batch.AsString(c);
       AppendVarint(out, s.size());
       out->append(s);
       break;
     }
     case Value::Kind::kDoubleVector: {
-      const auto& vec = v.AsDoubleVector();
+      const std::span<const double> vec = batch.AsDoubleVector(c);
       AppendVarint(out, vec.size());
-      for (double d : vec) AppendDoubleRaw(out, d);
+      out->append(reinterpret_cast<const char*>(vec.data()),
+                  vec.size() * sizeof(double));
       break;
     }
   }
 }
 
-void AppendColumn(std::string* out, const std::vector<Tuple>& tuples,
-                  size_t col) {
-  const Value& first = tuples[0][col];
+/// Picks the column's tag by Value equality and kinds: constant when
+/// every cell equals the first (so 0.0 next to -0.0 is constant and a
+/// NaN never is), else all-int deltas, all-double raw, or tagged cells.
+void AppendColumn(std::string* out, const CaptureBatch& batch,
+                  std::span<const Cell> col) {
+  const Cell& first = col[0];
   bool all_equal = true;
-  bool all_int = first.is_int();
-  bool all_double = first.is_double();
-  for (const Tuple& t : tuples) {
-    const Value& v = t[col];
-    if (all_equal && v != first) all_equal = false;
-    if (all_int && !v.is_int()) all_int = false;
-    if (all_double && !v.is_double()) all_double = false;
+  bool all_int = first.tag == Value::Kind::kInt;
+  bool all_double = first.tag == Value::Kind::kDouble;
+  for (const Cell& c : col) {
+    if (all_equal && !batch.CellEquals(c, first)) all_equal = false;
+    if (all_int && c.tag != Value::Kind::kInt) all_int = false;
+    if (all_double && c.tag != Value::Kind::kDouble) all_double = false;
   }
   if (all_equal) {
     out->push_back(static_cast<char>(kColConst));
-    AppendValueTagged(out, first);
+    AppendCellTagged(out, batch, first);
     return;
   }
   if (all_int) {
     out->push_back(static_cast<char>(kColIntDelta));
     int64_t prev = 0;
-    for (const Tuple& t : tuples) {
-      const int64_t v = t[col].AsInt();
-      AppendZigzag(out, v - prev);
-      prev = v;
+    for (const Cell& c : col) {
+      AppendZigzag(out, c.i - prev);
+      prev = c.i;
     }
     return;
   }
   if (all_double) {
     out->push_back(static_cast<char>(kColDouble));
-    for (const Tuple& t : tuples) AppendDoubleRaw(out, t[col].AsDouble());
+    for (const Cell& c : col) AppendDoubleRaw(out, c.d);
     return;
   }
   out->push_back(static_cast<char>(kColMixed));
-  for (const Tuple& t : tuples) AppendValueTagged(out, t[col]);
+  for (const Cell& c : col) AppendCellTagged(out, batch, c);
 }
 
-void AppendSlice(std::string* out, const LayerSlice& slice,
-                 VertexId prev_vertex) {
+void AppendSlice(std::string* out, const CaptureBatch& batch,
+                 const CaptureBatch::Slice& slice, VertexId prev_vertex) {
   AppendZigzag(out, slice.vertex - prev_vertex);
-  AppendVarint(out, slice.tuples.size());
-  const size_t arity = slice.tuples[0].size();
-  bool uniform = true;
-  for (const Tuple& t : slice.tuples) {
-    if (t.size() != arity) {
-      uniform = false;
-      break;
-    }
-  }
-  if (!uniform || arity == 0) {
+  AppendVarint(out, slice.rows);
+  if (slice.arity == CaptureBatch::kRowMajor) {
     out->push_back(static_cast<char>(kSliceRowMajor));
-    for (const Tuple& t : slice.tuples) {
-      AppendVarint(out, t.size());
-      for (const Value& v : t) AppendValueTagged(out, v);
+    const Cell* cell = batch.cells(slice).data();
+    for (uint32_t arity : batch.row_arities(slice)) {
+      AppendVarint(out, arity);
+      for (uint32_t a = 0; a < arity; ++a) {
+        AppendCellTagged(out, batch, *cell++);
+      }
     }
     return;
   }
   out->push_back(static_cast<char>(kSliceColumnar));
-  AppendVarint(out, arity);
-  for (size_t col = 0; col < arity; ++col) {
-    AppendColumn(out, slice.tuples, col);
+  AppendVarint(out, slice.arity);
+  for (size_t col = 0; col < slice.arity; ++col) {
+    AppendColumn(out, batch, batch.column(slice, col));
   }
 }
 
@@ -321,11 +321,10 @@ Status ByteReader::ReadRaw(void* p, size_t n) {
   return Status::OK();
 }
 
-std::vector<Page> EncodeLayer(const Layer& layer, size_t page_size) {
+std::vector<Page> EncodeBatch(const CaptureBatch& batch, size_t page_size) {
   std::vector<Page> pages;
   Page* open = nullptr;
-  for (const LayerSlice& slice : layer.slices) {
-    if (slice.tuples.empty()) continue;
+  for (const CaptureBatch::Slice& slice : batch.slices()) {
     const uint32_t rel = static_cast<uint32_t>(slice.rel);
     if (open == nullptr || open->header.rel != rel ||
         open->payload.size() >= page_size) {
@@ -339,14 +338,16 @@ std::vector<Page> EncodeLayer(const Layer& layer, size_t page_size) {
     // canonical layers are sorted per relation, so deltas stay tiny.
     const VertexId prev =
         open->header.slice_count == 0 ? 0 : open->header.last_vertex;
-    AppendSlice(&open->payload, slice, prev);
+    AppendSlice(&open->payload, batch, slice, prev);
     open->header.last_vertex = slice.vertex;
     ++open->header.slice_count;
-    for (const Tuple& t : slice.tuples) {
-      open->header.raw_bytes += TupleByteSize(t);
-    }
+    open->header.raw_bytes += slice.bytes;
   }
   return pages;
+}
+
+std::vector<Page> EncodeLayer(const Layer& layer, size_t page_size) {
+  return EncodeBatch(CaptureBatch::FromLayer(layer), page_size);
 }
 
 Status DecodePage(const Page& page, Layer* layer) {

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "common/status.h"
+#include "storage/capture_batch.h"
 #include "storage/layer.h"
 
 namespace ariadne::storage {
@@ -102,11 +103,15 @@ class ByteReader {
 
 // ---- Layer <-> pages ----
 
-/// Encodes `layer` into pages of ~`page_size` payload bytes, walking the
+/// Encodes `batch` into pages of ~`page_size` payload bytes, walking the
 /// slices in order and starting a new page whenever the relation changes
-/// or the payload target is reached. Deterministic: the same layer and
-/// page size always produce the same bytes (the byte-identical-save
-/// guarantee of the provenance store rests on this).
+/// or the payload target is reached. Columns are encoded straight from
+/// the batch's cells. Deterministic: the same slices and page size
+/// always produce the same bytes (the byte-identical-save guarantee of
+/// the provenance store rests on this).
+std::vector<Page> EncodeBatch(const CaptureBatch& batch, size_t page_size);
+
+/// EncodeBatch of `layer`'s slices, in layer order.
 std::vector<Page> EncodeLayer(const Layer& layer, size_t page_size);
 
 /// Appends the slices of `page` to `layer` in encoded order, validating

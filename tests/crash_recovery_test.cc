@@ -248,7 +248,6 @@ TEST_F(CrashRecoveryTest, CrashDuringSaveNeverTearsTheImage) {
     for (VertexId v = 0; v < 50; ++v) {
       layer.Add(rel, v, {{Value(int64_t{v}), Value(0.25 * v + s)}});
     }
-    layer.Canonicalize();
     ASSERT_TRUE(store.AppendLayer(std::move(layer)).ok());
   }
   const std::string path = dir_ + "/save_target.apv";
@@ -265,7 +264,6 @@ TEST_F(CrashRecoveryTest, CrashDuringSaveNeverTearsTheImage) {
     for (VertexId v = 0; v < 50; ++v) {
       layer.Add(rel, v, {{Value(int64_t{v}), Value(9.75 * v)}});
     }
-    layer.Canonicalize();
     if (!store.AppendLayer(std::move(layer)).ok()) _exit(5);
     if (!recovery::FaultInjector::Global().Arm("file-write-mid:1:crash").ok()) {
       _exit(3);

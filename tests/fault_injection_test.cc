@@ -31,7 +31,6 @@ Layer MakeLayer(Superstep step, int rel, int n_vertices) {
               {{Value(int64_t{v}), Value(static_cast<int64_t>(step)),
                 Value(0.5 * v)}});
   }
-  layer.Canonicalize();
   return layer;
 }
 

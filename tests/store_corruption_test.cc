@@ -24,7 +24,6 @@ Layer MakeLayer(Superstep step, int rel, int n_vertices) {
                {Value(int64_t{v}), Value("payload-" + std::to_string(v)),
                 Value()}});
   }
-  layer.Canonicalize();
   return layer;
 }
 
