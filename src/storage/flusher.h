@@ -12,7 +12,7 @@
 namespace ariadne::storage {
 
 /// Dedicated background-I/O worker pool of the layer store: write-behind
-/// of sealed layers and prefetch reads run here so `AppendLayer` returns
+/// of sealed layers and prefetch reads run here so `AppendBatch` returns
 /// to the superstep barrier immediately (the stand-in for the paper's
 /// asynchronous HDFS offload thread). Distinct from common/ThreadPool,
 /// which is a chunk-parallel compute pool: this one queues independent
