@@ -246,8 +246,8 @@ std::string SweepRow(const char* label, const SweepResult& r) {
 
 int RunPlanningSweep(const std::string& json_path) {
   // 500 vertices x fanout 200 = 100k hop tuples; 4 label classes make the
-  // legacy probe column (the label) ~50x denser than the planned one (the
-  // bound source vertex).
+  // legacy probe column (the label) ~50x denser than the planned key (the
+  // label and the bound source vertex together).
   const int64_t kN = 500, kLabels = 4, kFanout = 200;
   std::fprintf(stderr,
                "eval planning sweep: %lld vertices, %lld labels, fanout "

@@ -176,12 +176,14 @@ class OnlineProgram final
     const VertexId v = ctx.id();
     const Superstep step = ctx.superstep();
 
-    // 1. Run the analytic against an adapter that buffers its sends.
-    Adapter adapter(&ctx);
-    std::vector<M> payloads;
-    payloads.reserve(messages.size());
-    for (const auto& m : messages) payloads.push_back(m.payload);
-    analytic_->Compute(adapter, payloads);
+    // 1. Run the analytic against an adapter that buffers its sends, in
+    //    this thread's buffers.
+    ComputeBuffers& buffers = ThreadBuffers();
+    buffers.payloads.clear();
+    buffers.sends.clear();
+    Adapter adapter(&ctx, buffers.sends);
+    for (const auto& m : messages) buffers.payloads.push_back(m.payload);
+    analytic_->Compute(adapter, buffers.payloads);
 
     // 2. Record the transient provenance of this step: the barrier
     //    evaluates the query over it (or projects it straight into the
@@ -429,11 +431,25 @@ class OnlineProgram final
   }
 
  private:
+  /// Compute's scratch: the analytic's inbox and its buffered sends. One
+  /// per thread (Compute never re-enters on a thread), keeping capacity
+  /// from activation to activation.
+  struct ComputeBuffers {
+    std::vector<M> payloads;
+    std::vector<std::pair<VertexId, M>> sends;
+  };
+  static ComputeBuffers& ThreadBuffers() {
+    thread_local ComputeBuffers buffers;
+    return buffers;
+  }
+
   /// Presents the plain VertexContext<V, M> face to the analytic while
-  /// buffering its sends for ship attachment.
+  /// buffering its sends (into `sends`) for ship attachment.
   class Adapter final : public VertexContext<V, M> {
    public:
-    explicit Adapter(VertexContext<V, WrappedMessage>* real) : real_(real) {}
+    Adapter(VertexContext<V, WrappedMessage>* real,
+            std::vector<std::pair<VertexId, M>>& sends)
+        : sends(sends), real_(real) {}
 
     VertexId id() const override { return real_->id(); }
     Superstep superstep() const override { return real_->superstep(); }
@@ -451,7 +467,7 @@ class OnlineProgram final
       return real_->GetAggregate(name);
     }
 
-    std::vector<std::pair<VertexId, M>> sends;
+    std::vector<std::pair<VertexId, M>>& sends;
     bool voted_halt = false;
 
    private:

@@ -144,6 +144,30 @@ struct Env {
   }
 };
 
+/// One column of the key a positive atom probes its relation on. A
+/// direct column's value is its argument term, known at the atom. A pinned
+/// column holds a variable `v` the atom binds, which a later equality
+/// pins: `E = v`, `E = v + c` or `E = v - c` (either side), with E and c
+/// known at the atom. Its key value is E, E - c or E + c; the equality
+/// still filters afterwards, so the key only narrows the bucket.
+struct KeyColumn {
+  int col = 0;
+  int term = -1;          ///< direct: the argument; pinned: E
+  bool pinned = false;
+  int offset = -1;        ///< pinned: the term c, or -1 for `E = v`
+  bool subtract = false;  ///< pinned `E = v + c`: the key is E - c
+};
+
+/// How a positive stored atom at one plan position probes: once, on the
+/// columns `cols`. `fallback` (direct columns only) serves the probes
+/// where a pinned value cannot stand for its comparison. No columns: the
+/// holder's rows are scanned.
+struct AtomKey {
+  ColumnSet cols = 0;
+  ColumnSet fallback = 0;
+  std::vector<KeyColumn> columns;  ///< ascending column order
+};
+
 /// Scratch storage of rule walks, reused from walk to walk so evaluation
 /// allocates only while a thread's frame still grows. The evaluator is
 /// shared by every engine worker and serve step thread, and a walk never
@@ -156,6 +180,14 @@ struct RuleFrame {
   /// Per plan position: the ground tuple of a negated atom, or the edge
   /// tuple a static atom enumerates into.
   std::vector<Tuple> rows;
+  /// Per plan position: a planned rule's probe key (RuleRun::PlanKeys).
+  /// Then the variables bound on entry while planning, and the key being
+  /// probed: a pointer per column, to the bound value or to the value
+  /// computed for it.
+  std::vector<AtomKey> keys;
+  std::vector<uint8_t> plan_bound;
+  std::vector<const Value*> key;
+  std::vector<Value> key_values;
   // One rule evaluation (EvalRuleImpl): the rule's semi-naive drivers,
   // the holders it runs, the holders a delta walk rescans, and the driver
   // marks snapshotted before the walks.
@@ -224,18 +256,23 @@ const Value* FastTerm(const CompiledRule& rule, int idx, const Env& env) {
   return nullptr;
 }
 
-bool TermEvaluable(const CompiledRule& rule, int idx, const Env& env) {
+bool TermEvaluable(const CompiledRule& rule, int idx,
+                   const std::vector<uint8_t>& bound) {
   const CTerm& t = rule.term_pool[static_cast<size_t>(idx)];
   switch (t.kind) {
     case CTerm::Kind::kConst:
       return true;
     case CTerm::Kind::kVar:
-      return env.bound[static_cast<size_t>(t.var)] != 0;
+      return bound[static_cast<size_t>(t.var)] != 0;
     case CTerm::Kind::kArith:
-      return TermEvaluable(rule, t.lhs, env) &&
-             TermEvaluable(rule, t.rhs, env);
+      return TermEvaluable(rule, t.lhs, bound) &&
+             TermEvaluable(rule, t.rhs, bound);
   }
   return false;
+}
+
+bool TermEvaluable(const CompiledRule& rule, int idx, const Env& env) {
+  return TermEvaluable(rule, idx, env.bound);
 }
 
 int PlainVarOf(const CompiledRule& rule, int idx) {
@@ -295,6 +332,9 @@ class RuleRun {
         rows_(frame.rows),
         order_(frame.order),
         existential_(frame.existential),
+        keys_(frame.keys),
+        key_(frame.key),
+        key_values_(frame.key_values),
         delta_literal_(delta_literal),
         persistent_agg_(persistent_agg) {
     env_.Reset(rule.vars.size());
@@ -325,6 +365,7 @@ class RuleRun {
         }
       }
     }
+    if (rule_.planned) PlanKeys(frame.plan_bound);
   }
 
   bool derived() const { return derived_; }
@@ -673,42 +714,27 @@ class RuleRun {
     Relation* rel = ctx_.db->MutableRelIfExists(lit.pred);
     if (rel == nullptr || rel->holder_size(holder_) == 0) return Status::OK();
 
-    auto eval_col = [&](size_t i, std::optional<Value>& owned) {
-      const Value* v = FastTerm(rule_, lit.args[i], env_);
-      if (v == nullptr && TermEvaluable(rule_, lit.args[i], env_)) {
-        owned = EvalTerm(rule_, lit.args[i], env_);
-        v = owned ? &*owned : nullptr;
-      }
-      return v;
-    };
-    // Candidate rows: the holder's bucket of one bound column (keyed by
-    // holder and value), else all of the holder's rows.
+    // Candidate rows: the holder's bucket of the bound key (keyed by
+    // holder and the key's values), else all of the holder's rows.
     bool probed = false;
     Relation::Bucket rows;
-    auto probe = [&](size_t i, const Value& v) {
-      if (!rel->HasIndex(static_cast<int>(i))) ++stats_.index_builds;
+    auto probe = [&](ColumnSet cols, std::span<const Value* const> key) {
+      if (!rel->HasIndex(cols)) ++stats_.index_builds;
       ++stats_.index_probes;
-      return rel->Probe(holder_, static_cast<int>(i), v);
+      probed = true;
+      return rel->Probe(holder_, cols, key);
     };
     if (rule_.planned) {
-      // Planned probe choice: among all evaluable columns, walk the one
-      // whose bucket is smallest *right now* (ties: lowest column). A
-      // location bound to the holder's own vertex selects nearly all of
-      // the holder's rows, so it is probed only when nothing else is
-      // bound.
-      const bool skip_location = LocationIsHolder(lit) &&
-                                 AnyEvaluable(lit, /*from_col=*/1);
-      for (size_t i = skip_location ? 1 : 0; i < lit.args.size(); ++i) {
-        std::optional<Value> owned;
-        const Value* v = eval_col(i, owned);
-        if (v == nullptr) continue;
-        const Relation::Bucket bucket = probe(i, *v);
-        if (!probed || bucket.size() < rows.size()) {
-          probed = true;
-          rows = bucket;
-          if (rows.empty()) break;  // nothing can beat an empty bucket
-        }
+      // One probe on every column known here (PlanKeys).
+      const AtomKey& key = keys_[k];
+      ColumnSet cols = key.cols;
+      KeyFill fill = FillKey(key, cols, *rel);
+      if (fill == KeyFill::kUnusable) {
+        cols = key.fallback;
+        fill = FillKey(key, cols, *rel);
       }
+      if (fill == KeyFill::kNoMatch) return Status::OK();
+      if (cols != 0) rows = probe(cols, key_);
     } else {
       // Legacy probe choice: first evaluable column wins. In holder-scoped
       // mode column 0 is the location and usually matches every row of the
@@ -716,12 +742,14 @@ class RuleRun {
       // column 0 only when nothing else is bound.
       const size_t first_col = ctx_.holder_base.has_value() ? 1 : 0;
       auto try_col = [&](size_t i) {
+        const Value* v = FastTerm(rule_, lit.args[i], env_);
         std::optional<Value> owned;
-        const Value* v = eval_col(i, owned);
-        if (v == nullptr) return false;
-        rows = probe(i, *v);
-        probed = true;
-        return true;
+        if (v == nullptr && TermEvaluable(rule_, lit.args[i], env_)) {
+          owned = EvalTerm(rule_, lit.args[i], env_);
+          v = owned ? &*owned : nullptr;
+        }
+        if (v == nullptr) return;
+        rows = probe(ColumnSetOf(static_cast<int>(i)), std::span(&v, 1));
       };
       for (size_t i = first_col; i < lit.args.size() && !probed; ++i) {
         try_col(i);
@@ -755,19 +783,179 @@ class RuleRun {
     return owned ? &*owned : nullptr;
   }
 
-  /// True when the atom's location argument is bound to the holder's own
-  /// vertex (holder-scoped mode).
-  bool LocationIsHolder(const CLiteral& lit) const {
-    if (!ctx_.holder_base.has_value() || lit.args.empty()) return false;
-    const Value* v = FastTerm(rule_, lit.args[0], env_);
-    return v != nullptr && v->is_int() && v->AsInt() == holder_vertex_;
+  /// Plans the probe key of every positive stored atom in this run's
+  /// order (the semi-naive driver first). The variables bound on entry to
+  /// a plan position follow from the literals before it, exactly as the
+  /// walk binds them, so keys are planned once per run, not per row.
+  void PlanKeys(std::vector<uint8_t>& bound) {
+    bound.assign(rule_.vars.size(), 0);
+    if (ctx_.holder_base.has_value()) {
+      bound[static_cast<size_t>(rule_.head_loc_var)] = 1;
+    }
+    if (keys_.size() < order_.size()) keys_.resize(order_.size());
+    auto bind = [&](int term) {
+      const int var = PlainVarOf(rule_, term);
+      if (var >= 0) bound[static_cast<size_t>(var)] = 1;
+    };
+    for (size_t k = 0; k < order_.size(); ++k) {
+      const CLiteral& lit = rule_.body[order_[k]];
+      switch (lit.kind) {
+        case CLiteral::Kind::kAtom:
+          if (lit.negated) break;
+          PlanAtomKey(lit, k, bound, keys_[k]);
+          for (int arg : lit.args) bind(arg);
+          break;
+        case CLiteral::Kind::kComparison: {
+          const bool lhs_ok = TermEvaluable(rule_, lit.cmp_lhs, bound);
+          const bool rhs_ok = TermEvaluable(rule_, lit.cmp_rhs, bound);
+          if (!lhs_ok || !rhs_ok) bind(lhs_ok ? lit.cmp_rhs : lit.cmp_lhs);
+          break;
+        }
+        case CLiteral::Kind::kUdf:
+          if (lit.udf->kind == UdfKind::kFunction &&
+              !TermEvaluable(rule_, lit.udf_args.back(), bound)) {
+            bind(lit.udf_args.back());
+          }
+          break;
+      }
+    }
   }
 
-  bool AnyEvaluable(const CLiteral& lit, size_t from_col) const {
-    for (size_t i = from_col; i < lit.args.size(); ++i) {
-      if (TermEvaluable(rule_, lit.args[i], env_)) return true;
+  /// The key of the atom at plan position `k`, given the variables bound
+  /// on entry there.
+  void PlanAtomKey(const CLiteral& lit, size_t k,
+                   const std::vector<uint8_t>& bound, AtomKey& key) const {
+    key.cols = 0;
+    key.fallback = 0;
+    key.columns.clear();
+    if (IsStaticEdb(ctx_.db->query().pred(lit.pred).edb) &&
+        ctx_.graph != nullptr) {
+      return;  // StepStaticAtom reads the graph
+    }
+    const size_t n = std::min(lit.args.size(), size_t{kMaxKeyColumns});
+    for (size_t i = 0; i < n; ++i) {
+      KeyColumn column;
+      column.col = static_cast<int>(i);
+      column.term = lit.args[i];
+      if (TermEvaluable(rule_, column.term, bound)) {
+        key.fallback |= ColumnSetOf(column.col);
+      } else if (!PinnedLater(PlainVarOf(rule_, column.term), k, bound,
+                              column)) {
+        continue;
+      }
+      key.cols |= ColumnSetOf(column.col);
+      key.columns.push_back(column);
+    }
+    // A location bound to the holder's own vertex selects nearly every
+    // row of the holder: it joins the key only when nothing else does.
+    constexpr ColumnSet kLocation = 1;
+    if (ctx_.holder_base.has_value() && !lit.args.empty() &&
+        PlainVarOf(rule_, lit.args[0]) == rule_.head_loc_var) {
+      if ((key.cols & ~kLocation) != 0) key.cols &= ~kLocation;
+      if ((key.fallback & ~kLocation) != 0) key.fallback &= ~kLocation;
+    }
+  }
+
+  /// Whether an equality after plan position `k` pins variable `var`
+  /// (unbound there) to a value known at `k`; fills `column` if so.
+  bool PinnedLater(int var, size_t k, const std::vector<uint8_t>& bound,
+                   KeyColumn& column) const {
+    if (var < 0) return false;
+    // `side` is var, var + c, c + var or var - c, with c known at `k`.
+    auto pins = [&](int side) {
+      const CTerm& t = rule_.term_pool[static_cast<size_t>(side)];
+      if (t.kind == CTerm::Kind::kVar) {
+        column.offset = -1;
+        return t.var == var;
+      }
+      if (t.kind != CTerm::Kind::kArith || (t.op != '+' && t.op != '-')) {
+        return false;
+      }
+      column.subtract = t.op == '+';
+      if (PlainVarOf(rule_, t.lhs) == var &&
+          TermEvaluable(rule_, t.rhs, bound)) {
+        column.offset = t.rhs;
+        return true;
+      }
+      if (t.op == '+' && PlainVarOf(rule_, t.rhs) == var &&
+          TermEvaluable(rule_, t.lhs, bound)) {
+        column.offset = t.lhs;
+        return true;
+      }
+      return false;
+    };
+    for (size_t j = k + 1; j < order_.size(); ++j) {
+      const CLiteral& lit = rule_.body[order_[j]];
+      if (lit.kind != CLiteral::Kind::kComparison ||
+          lit.cmp_op != ComparisonOp::kEq) {
+        continue;
+      }
+      for (const auto& [side, other] : {std::pair(lit.cmp_lhs, lit.cmp_rhs),
+                                       std::pair(lit.cmp_rhs, lit.cmp_lhs)}) {
+        if (TermEvaluable(rule_, other, bound) && pins(side)) {
+          column.term = other;
+          column.pinned = true;
+          return true;
+        }
+      }
     }
     return false;
+  }
+
+  enum class KeyFill {
+    kOk,
+    kNoMatch,   ///< a direct column's arithmetic failed: no row unifies
+    kUnusable,  ///< a pinned value cannot stand for its comparison
+  };
+
+  /// Points key_ at the values of `key`'s columns in `cols`: bound values
+  /// in place, computed ones in key_values_.
+  ///
+  /// A pinned column keys on E - c, E + c or E only when E and c are ints,
+  /// |E| < 2^53 and `rel` has held only ints in that column. The equality
+  /// compares numerically, through doubles, and under those conditions
+  /// the integer key (wrapping, as integer arithmetic does) is the one
+  /// value of the column it accepts.
+  KeyFill FillKey(const AtomKey& key, ColumnSet cols, const Relation& rel) {
+    constexpr int64_t kExactDouble = int64_t{1} << 53;
+    key_.clear();
+    // Sized up front, as key_ keeps pointers into it: a pinned column may
+    // compute E, c and its key.
+    if (key_values_.size() < 3 * key.columns.size()) {
+      key_values_.resize(3 * key.columns.size());
+    }
+    size_t computed = 0;
+    // The value of evaluable term `idx`, or nullptr when arithmetic fails.
+    auto value_of = [&](int idx) -> const Value* {
+      if (const Value* v = FastTerm(rule_, idx, env_)) return v;
+      std::optional<Value> v = EvalTerm(rule_, idx, env_);
+      if (!v) return nullptr;
+      key_values_[computed] = std::move(*v);
+      return &key_values_[computed++];
+    };
+    for (const KeyColumn& column : key.columns) {
+      if ((cols & ColumnSetOf(column.col)) == 0) continue;
+      const Value* v = value_of(column.term);
+      if (!column.pinned) {
+        if (v == nullptr) return KeyFill::kNoMatch;
+        key_.push_back(v);
+        continue;
+      }
+      if (v == nullptr || !v->is_int() || !rel.IntColumn(column.col) ||
+          v->AsInt() <= -kExactDouble || v->AsInt() >= kExactDouble) {
+        return KeyFill::kUnusable;
+      }
+      uint64_t pinned = static_cast<uint64_t>(v->AsInt());
+      if (column.offset >= 0) {
+        const Value* c = value_of(column.offset);
+        if (c == nullptr || !c->is_int()) return KeyFill::kUnusable;
+        const uint64_t offset = static_cast<uint64_t>(c->AsInt());
+        pinned = column.subtract ? pinned - offset : pinned + offset;
+      }
+      key_values_[computed] = Value(static_cast<int64_t>(pinned));
+      key_.push_back(&key_values_[computed++]);
+    }
+    return KeyFill::kOk;
   }
 
   Status StepNegatedAtom(const CLiteral& lit, size_t k) {
@@ -1042,6 +1230,9 @@ class RuleRun {
   std::vector<Tuple>& rows_;
   std::vector<size_t>& order_;
   std::vector<uint8_t>& existential_;
+  std::vector<AtomKey>& keys_;
+  std::vector<const Value*>& key_;
+  std::vector<Value>& key_values_;
   bool derived_ = false;
   int delta_literal_ = -1;
   PersistentAggState* persistent_agg_ = nullptr;

@@ -407,13 +407,31 @@ Result<std::shared_ptr<const Layer>> LayerStore::ReadImpl(
 Result<std::vector<Page>> LayerStore::EncodePages(int step,
                                                   size_t page_size) const {
   std::shared_ptr<const CaptureBatch> batch;
+  const Entry* spilled = nullptr;
   {
     std::lock_guard<std::mutex> lock(mu_);
     if (step >= 0 && step < static_cast<int>(entries_.size())) {
-      batch = entries_[static_cast<size_t>(step)]->batch;
+      const Entry* entry = entries_[static_cast<size_t>(step)].get();
+      batch = entry->batch;
+      // The flusher encoded the spilled pages from this same batch (or
+      // layer) at the store's page size: at that size they are the
+      // answer, with no decode and re-encode.
+      if (!batch && entry->flushed && page_size == options_.page_size) {
+        spilled = entry;
+      }
     }
   }
   if (batch) return EncodeBatch(*batch, page_size);
+  if (spilled != nullptr) {
+    std::vector<Page> pages;
+    pages.reserve(spilled->pages.size());
+    for (uint32_t i = 0; i < spilled->pages.size(); ++i) {
+      ARIADNE_ASSIGN_OR_RETURN(std::shared_ptr<const Page> page,
+                               FetchPage(*spilled, i));
+      pages.push_back(*page);
+    }
+    return pages;
+  }
   ARIADNE_ASSIGN_OR_RETURN(std::shared_ptr<const Layer> layer,
                            ReadImpl(step, {}));
   return EncodeLayer(*layer, page_size);

@@ -185,7 +185,8 @@ class LayerStore {
       int step, const std::vector<int>& rels) const;
 
   /// Layer `step` encoded into pages of `page_size`: straight from its
-  /// batch while it has one, else from the decoded layer.
+  /// batch while it has one, else its spilled pages when `page_size` is
+  /// the store's, else re-encoded from the decoded layer.
   Result<std::vector<Page>> EncodePages(int step, size_t page_size) const;
 
   /// Asynchronous hint: load the pages of `step` restricted to `rels`

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <limits>
 #include <unordered_set>
@@ -14,6 +15,13 @@ Tuple T(std::initializer_list<int64_t> vals) {
   Tuple t;
   for (int64_t v : vals) t.emplace_back(v);
   return t;
+}
+
+/// A key for Relation::Probe: pointers to `values`.
+std::vector<const Value*> Key(const Tuple& values) {
+  std::vector<const Value*> key;
+  for (const Value& v : values) key.push_back(&v);
+  return key;
 }
 
 TEST(RelationTest, InsertDedups) {
@@ -85,6 +93,30 @@ TEST(RelationTest, KillHolderIfThenCompact) {
   EXPECT_FALSE(r.HasIndex(0));
   EXPECT_EQ(r.Probe(0, Value(int64_t{9})).size(), 1u);
   EXPECT_TRUE(r.Probe(0, Value(int64_t{1})).empty());
+}
+
+TEST(RelationTest, ProbesOnColumnSets) {
+  Relation r(3);
+  for (int64_t i = 0; i < 12; ++i) r.Insert(T({i % 2, i % 3, i}));
+  const ColumnSet both = ColumnSetOf(0) | ColumnSetOf(1);
+  std::vector<uint32_t> rows;
+  const Tuple one_two = T({1, 2});
+  for (uint32_t row : r.Probe(0, both, Key(one_two))) rows.push_back(row);
+  EXPECT_EQ(rows, (std::vector<uint32_t>{5, 11}));
+  EXPECT_TRUE(r.HasIndex(both));
+  EXPECT_FALSE(r.HasIndex(0));  // a set of two is its own index
+  EXPECT_EQ(r.Probe(0, Value(int64_t{1})).size(), 6u);
+  EXPECT_TRUE(r.HasIndex(0));
+  // 2.0 is a key of its own, and column 1 no longer holds only ints.
+  EXPECT_TRUE(r.IntColumn(1));
+  r.Insert({Value(int64_t{1}), Value(2.0), Value(int64_t{12})});
+  EXPECT_FALSE(r.IntColumn(1));
+  EXPECT_TRUE(r.IntColumn(2));
+  EXPECT_EQ(r.Probe(0, both, Key(one_two)).size(), 2u);
+  const Tuple one_two_double = {Value(int64_t{1}), Value(2.0)};
+  EXPECT_EQ(r.Probe(0, both, Key(one_two_double)).size(), 1u);
+  r.KillHolder(0);
+  EXPECT_FALSE(r.IntColumn(1));  // kills do not forget
 }
 
 TEST(RelationTest, ByteSizeTracksContents) {
@@ -253,9 +285,15 @@ struct Model {
     }
     return false;
   }
+  /// Columns that ever held a non-int (Relation::IntColumn).
+  ColumnSet non_int = 0;
+
   bool Insert(Holder h, const Tuple& t) {
     if (Contains(h, t)) return false;
     rows.push_back({h, t, true});
+    for (size_t c = 0; c < t.size(); ++c) {
+      if (!t[c].is_int()) non_int |= ColumnSetOf(static_cast<int>(c));
+    }
     return true;
   }
   size_t Live(Holder h) const {
@@ -348,24 +386,43 @@ TEST(RelationTest, MatchesLinearScanModel) {
         const Tuple t = random_live_or_new();
         EXPECT_EQ(rel.Contains(h, t), model.Contains(h, t));
       } else if (kind < 80) {
-        const int col = static_cast<int>(rng.NextUInt(3));
-        const Value v = RandomValue(rng);
+        // A key of 1-3 columns. Most values of half the keys come from a
+        // live row, so buckets are often non-empty.
+        ColumnSet cols = 0;
+        while (cols == 0) cols = rng.NextUInt(8);
+        const Tuple source = random_live_or_new();
+        Tuple key;
+        std::string key_text;
+        for (int c = 0; c < 3; ++c) {
+          if ((cols & ColumnSetOf(c)) == 0) continue;
+          key.push_back(rng.NextBool(0.8) ? source[static_cast<size_t>(c)]
+                                          : RandomValue(rng));
+          key_text += " col " + std::to_string(c) + " = " +
+                      key.back().ToString();
+        }
         std::vector<uint32_t> expected;
         for (size_t i = 0; i < model.rows.size(); ++i) {
           const Model::Row& row = model.rows[i];
-          if (row.alive && row.holder == h &&
-              row.tuple[static_cast<size_t>(col)] == v) {
-            expected.push_back(static_cast<uint32_t>(i));
+          bool match = row.alive && row.holder == h;
+          size_t j = 0;
+          for (int c = 0; c < 3 && match; ++c) {
+            if ((cols & ColumnSetOf(c)) == 0) continue;
+            match = row.tuple[static_cast<size_t>(c)] == key[j++];
           }
+          if (match) expected.push_back(static_cast<uint32_t>(i));
         }
         // Buckets list ascending row ids and may still chain dead rows.
+        // A one-column key goes through either form of Probe.
+        const Relation::Bucket bucket =
+            key.size() == 1 && rng.NextBool(0.5)
+                ? rel.Probe(h, std::countr_zero(cols), key[0])
+                : rel.Probe(h, cols, Key(key));
         std::vector<uint32_t> got;
-        for (uint32_t row : rel.Probe(h, col, v)) {
+        for (uint32_t row : bucket) {
           if (rel.alive(row)) got.push_back(row);
         }
-        EXPECT_EQ(got, expected) << "holder " << h << " probe col " << col
-                                 << " = " << v.ToString();
-        EXPECT_TRUE(rel.HasIndex(col));
+        EXPECT_EQ(got, expected) << "holder " << h << " probe" << key_text;
+        EXPECT_TRUE(rel.HasIndex(cols));
         EXPECT_EQ(rel.version(), version);
       } else if (kind < 90) {
         // KillHolderIf on a column value, or KillHolder.
@@ -424,6 +481,10 @@ TEST(RelationTest, MatchesLinearScanModel) {
         EXPECT_EQ(rel.dead_rows(), 0u);
       }
       ExpectMatches(rel, model);
+      for (int c = 0; c < 3; ++c) {
+        EXPECT_EQ(rel.IntColumn(c), (model.non_int & ColumnSetOf(c)) == 0)
+            << "col " << c;
+      }
       if (HasFatalFailure()) return;
     }
   }

@@ -107,6 +107,28 @@ TEST_F(StorageCaptureTest, TinyBudgetSaveIsByteIdenticalAcrossThreadCounts) {
   }
 }
 
+TEST_F(StorageCaptureTest, SpilledImageMatchesHeldBatchImage) {
+  // Every layer is spilled and keeps its batch: the image is encoded
+  // from the batches.
+  ProvenanceStore held;
+  CaptureStore(&held, Dir("held"), size_t{1} << 30, 1, 1);
+  ASSERT_EQ(held.SpilledLayerCount(), 0);
+  auto want = held.SerializeToString();
+  ASSERT_TRUE(want.ok()) << want.status().ToString();
+
+  // Budget 0: every batch is gone after its flush, and the image is
+  // written from the spilled pages.
+  ProvenanceStore spilled;
+  CaptureStore(&spilled, Dir("spilled"), 0, 1, 1);
+  ASSERT_EQ(spilled.SpilledLayerCount(), spilled.num_layers());
+  const uint64_t read_before = spilled.storage_stats().pages_read;
+  auto got = spilled.SerializeToString();
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  EXPECT_EQ(*got, *want) << "image of spilled layers differs";
+  const auto stats = spilled.storage_stats();
+  EXPECT_EQ(stats.pages_read - read_before, stats.pages_written);
+}
+
 TEST_F(StorageCaptureTest, BackwardLayeredQueryUnderBudgetMatchesUnbounded) {
   SessionOptions options;
   Session session(&graph_, options);
