@@ -1,6 +1,8 @@
 #include "eval/common.h"
 
 #include <algorithm>
+#include <array>
+#include <bit>
 
 #include "provenance/store.h"
 
@@ -86,14 +88,37 @@ void NodeDatabases::Insert(VertexId v, int pred,
   Db(Part(v)).Rel(pred).Insert(HolderOf(v), tuple);
 }
 
+namespace {
+
+/// Whether `holder` has a live row of `rel` that agrees with `row` on the
+/// columns `key`.
+bool HoldsKey(Relation& rel, Holder holder, ColumnSet key, const Value* row) {
+  std::array<const Value*, kMaxKeyColumns> values;
+  size_t n = 0;
+  for (ColumnSet rest = key; rest != 0; rest &= rest - 1) {
+    values[n++] = row + std::countr_zero(rest);
+  }
+  for (uint32_t i : rel.Probe(holder, key, std::span(values.data(), n))) {
+    if (rel.alive(i)) return true;
+  }
+  return false;
+}
+
+}  // namespace
+
 void NodeDatabases::InsertShips(VertexId v, const ShipBatch& batch,
                                 ShipRange range) {
   Database& db = Db(Part(v));
   const Holder h = HolderOf(v);
   for (uint32_t i = range.begin; i < range.end; ++i) {
     const ShipBatch::Row& row = batch.rows[i];
+    const PredicateInfo& info = query_->pred(row.pred);
     Relation& rel = db.Rel(row.pred);
-    rel.Insert(h, std::span<const Value>(batch.values.data() + row.begin,
+    const Value* values = batch.values.data() + row.begin;
+    // A row agreeing with a held one on the ship key unifies with the
+    // receiver's remote atoms exactly as that row does: drop it.
+    if (info.ship_keyed() && HoldsKey(rel, h, info.ship_key, values)) continue;
+    rel.Insert(h, std::span<const Value>(values,
                                          static_cast<size_t>(rel.arity())));
   }
 }

@@ -46,7 +46,17 @@ std::string AnalyzedQuery::DebugString() const {
            DirectionToString(rule.direction) + "] " + rule.source_text + "\n";
   }
   for (int p : shipped_preds_) {
-    out += "  ship: " + preds_[static_cast<size_t>(p)].name + "\n";
+    const PredicateInfo& info = preds_[static_cast<size_t>(p)];
+    out += "  ship: " + info.name;
+    if (info.ship_keyed()) {
+      std::string cols;
+      for (int c = 0; c < info.arity; ++c) {
+        if ((info.ship_key & ColumnSetOf(c)) == 0) continue;
+        cols += (cols.empty() ? "" : ",") + std::to_string(c);
+      }
+      out += " key (" + cols + ")";
+    }
+    out += "\n";
   }
   return out;
 }
@@ -145,6 +155,18 @@ void TermVars(const CompiledRule& rule, int idx, std::set<int>& out) {
   }
 }
 
+/// Adds one to `uses[v]` for every occurrence of a variable v in pool
+/// term `idx` of `rule`.
+void CountVarUses(const CompiledRule& rule, int idx, std::vector<int>& uses) {
+  const CTerm& t = rule.term_pool[static_cast<size_t>(idx)];
+  if (t.kind == CTerm::Kind::kVar) {
+    ++uses[static_cast<size_t>(t.var)];
+  } else if (t.kind == CTerm::Kind::kArith) {
+    CountVarUses(rule, t.lhs, uses);
+    CountVarUses(rule, t.rhs, uses);
+  }
+}
+
 bool IsPlainVar(const CompiledRule& rule, int idx, int* var = nullptr) {
   const CTerm& t = rule.term_pool[static_cast<size_t>(idx)];
   if (t.kind != CTerm::Kind::kVar) return false;
@@ -202,6 +224,7 @@ class Analyzer {
       CheckAggregates();
     }
     if (HasErrors()) return first_error_;
+    ComputeShipKeys();
     ExtractFastCapture();
 
     std::stable_sort(rules_.begin(), rules_.end(),
@@ -982,6 +1005,52 @@ class Analyzer {
       }
       info.shipped = true;
       info.routing = req.routing;
+    }
+  }
+
+  /// Sets every shipped predicate's ship_key: the location plus each
+  /// column a remote atom reading the predicate uses, over all rules. A
+  /// column is unused only when it holds a plain variable occurring
+  /// nowhere else in the rule (head, other literals, or twice in the
+  /// atom); a negated atom, or any atom of an aggregate rule, uses every
+  /// column.
+  void ComputeShipKeys() {
+    std::vector<ColumnSet> used(preds_.size(), ColumnSetOf(0));
+    for (const CompiledRule& rule : rules_) {
+      std::vector<int> uses(rule.vars.size(), 0);
+      for (const CHeadTerm& h : rule.head) {
+        CountVarUses(rule, h.is_aggregate ? h.aggregate_arg : h.term, uses);
+      }
+      for (const CLiteral& cl : rule.body) {
+        for (int arg : cl.args) CountVarUses(rule, arg, uses);
+        for (int arg : cl.udf_args) CountVarUses(rule, arg, uses);
+        if (cl.kind == CLiteral::Kind::kComparison) {
+          CountVarUses(rule, cl.cmp_lhs, uses);
+          CountVarUses(rule, cl.cmp_rhs, uses);
+        }
+      }
+      for (const CLiteral& cl : rule.body) {
+        if (cl.kind != CLiteral::Kind::kAtom || !cl.remote) continue;
+        ColumnSet& key = used[static_cast<size_t>(cl.pred)];
+        for (size_t c = 0; c < cl.args.size(); ++c) {
+          int var;
+          if (!cl.negated && !rule.has_aggregate &&
+              IsPlainVar(rule, cl.args[c], &var) &&
+              uses[static_cast<size_t>(var)] == 1) {
+            continue;
+          }
+          // A used column past kMaxKeyColumns cannot be keyed: key all.
+          const ColumnSet col = ColumnSetOf(static_cast<int>(c));
+          key |= col != 0 ? col : ~ColumnSet{0};
+        }
+      }
+    }
+    for (size_t p = 0; p < preds_.size(); ++p) {
+      PredicateInfo& info = preds_[p];
+      if (!info.shipped) continue;
+      const ColumnSet all = AllColumns(info.arity);
+      info.ship_key =
+          info.is_idb() && !info.has_aggregate_rule ? used[p] & all : all;
     }
   }
 

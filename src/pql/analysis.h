@@ -10,6 +10,7 @@
 #include "pql/ast.h"
 #include "pql/catalog.h"
 #include "pql/diagnostics.h"
+#include "pql/relation.h"
 #include "pql/udf.h"
 
 namespace ariadne {
@@ -60,8 +61,20 @@ struct PredicateInfo {
   bool is_idb() const { return edb == EdbKind::kNone; }
   bool shipped = false;          ///< appears as a remote body atom somewhere
   ShipRouting routing = ShipRouting::kAlongMessages;  ///< valid when shipped
+  /// Valid when shipped: the columns a receiver tells shipped rows apart
+  /// by, the union of the columns the remote atoms reading this predicate
+  /// use (location included). Receivers read shipped rows only through
+  /// those atoms, so a shipped row whose key the receiver already holds
+  /// derives nothing new and is dropped. Every column unless the
+  /// predicate is an IDB without an aggregate rule (its rows, once held,
+  /// are never lost).
+  ColumnSet ship_key = 0;
   bool has_aggregate_rule = false;
   int stratum = 0;
+
+  /// Whether receivers check ship_key: a shipped predicate whose key
+  /// leaves out some column.
+  bool ship_keyed() const { return shipped && ship_key != AllColumns(arity); }
 };
 
 /// Compiled term over a per-rule term pool (variables interned to dense

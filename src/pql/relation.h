@@ -47,6 +47,11 @@ inline constexpr ColumnSet ColumnSetOf(int col) {
   return static_cast<unsigned>(col) < kMaxKeyColumns ? ColumnSet{1} << col
                                                      : 0;
 }
+/// Every keyable column of an `arity`-column relation.
+inline constexpr ColumnSet AllColumns(int arity) {
+  return arity >= kMaxKeyColumns ? ~ColumnSet{0}
+                                 : (ColumnSet{1} << arity) - 1;
+}
 
 /// Set-semantics relation with insertion-order row access (for delta
 /// scans via external watermarks), duplicate elimination, and lazily

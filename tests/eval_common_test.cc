@@ -99,6 +99,64 @@ TEST(ShipDeltaTest, RoutingFilterSelectsPredicates) {
       nodes.CollectShips(1, ShipRouting::kAlongMessages, &batch).empty());
 }
 
+/// `rows` (each of the relation's arity) of `pred` as one sender's batch.
+ShipRange AppendShips(int pred, const std::vector<Tuple>& rows,
+                      ShipBatch* batch) {
+  ShipRange range{static_cast<uint32_t>(batch->rows.size()), 0};
+  for (const Tuple& row : rows) {
+    batch->rows.push_back(
+        ShipBatch::Row{pred, static_cast<uint32_t>(batch->values.size())});
+    batch->values.insert(batch->values.end(), row.begin(), row.end());
+  }
+  range.end = static_cast<uint32_t>(batch->rows.size());
+  return range;
+}
+
+TEST(ShipKeyTest, InsertShipsKeepsOneRowPerHolderAndKey) {
+  // t's key is (location, a); u's is every column.
+  auto query = AnalyzeText(
+      "t(x, a, b) <- value(x, a, b).\n"
+      "r(x, a) <- receive-message(x, y, _m, _i), t(y, a, _b).\n"
+      "u(x, a, b) <- value(x, a, b).\n"
+      "s(x, a, b) <- receive-message(x, y, _m, _i), u(y, a, b).");
+  ASSERT_TRUE(query.ok()) << query.status().ToString();
+  const int t = query->PredId("t");
+  const int u = query->PredId("u");
+  ASSERT_EQ(query->pred(t).ship_key, ColumnSetOf(0) | ColumnSetOf(1));
+  ASSERT_FALSE(query->pred(u).ship_keyed());
+
+  auto graph = GenerateChain(10);
+  ASSERT_TRUE(graph.ok());
+  auto v = [](int64_t i) { return Value(i); };
+  for (const int pred : {t, u}) {
+    NodeDatabases nodes(&*query, &*graph);
+    ShipBatch batch;
+    // Vertex 5 gets two rows of key (9, 1), one of (9, 2) and one of
+    // (8, 1); vertex 6, in the same partition, a third row of (9, 1).
+    const ShipRange to5 = AppendShips(
+        pred, {{v(9), v(1), v(0)}, {v(9), v(1), v(1)}, {v(9), v(2), v(0)},
+               {v(8), v(1), v(0)}},
+        &batch);
+    const ShipRange to6 = AppendShips(pred, {{v(9), v(1), v(2)}}, &batch);
+    nodes.InsertShips(5, batch, to5);
+    nodes.InsertShips(6, batch, to6);
+    // Delivered again: nothing new either way.
+    nodes.InsertShips(5, batch, to5);
+
+    const MergedNodes merged = nodes.Merge();
+    const Relation* rel = merged.result.Table(query->pred(pred).name);
+    ASSERT_NE(rel, nullptr);
+    if (pred == t) {
+      // The first row of each key, per holder.
+      EXPECT_EQ(rel->ToSortedStrings(),
+                (std::vector<std::string>{"(8, 1, 0)", "(9, 1, 0)",
+                                          "(9, 1, 2)", "(9, 2, 0)"}));
+    } else {
+      EXPECT_EQ(rel->size(), 5u);
+    }
+  }
+}
+
 TEST(RetentionTest, DropsOnlySteppedEdbHistory) {
   auto program = ParseProgram(queries::Apt());
   ASSERT_TRUE(program.ok());

@@ -228,6 +228,85 @@ TEST(AnalysisTest, AliasesResolveToCanonicalPredicates) {
   EXPECT_EQ(count, 1);
 }
 
+// ---------------------------------------------------------- ship keys
+
+/// The ship key of predicate `name` in `q`.
+ColumnSet ShipKey(const AnalyzedQuery& q, const std::string& name) {
+  const int id = q.PredId(name);
+  return id < 0 ? 0 : q.pred(id).ship_key;
+}
+
+TEST(ShipKeyTest, ForwardLineageKeysOnTheLocation) {
+  // fwd-lineage(y, w, j): only y occurs elsewhere in the rule.
+  auto q = AnalyzeText(queries::CaptureForwardLineage(),
+                       {{"alpha", Value(int64_t{0})}});
+  ASSERT_TRUE(q.ok()) << q.status().ToString();
+  EXPECT_EQ(ShipKey(*q, "fwd-lineage"), ColumnSetOf(0));
+  EXPECT_TRUE(q->pred(q->PredId("fwd-lineage")).ship_keyed());
+  EXPECT_NE(q->DebugString().find("ship: fwd-lineage key (0)"),
+            std::string::npos);
+}
+
+TEST(ShipKeyTest, BackTraceAndNegatedChangeKeyEveryColumn) {
+  // back-trace(y, j): j is pinned by j = i + 1.
+  auto back = AnalyzeText(queries::BackwardLineageFull(),
+                          {{"alpha", Value(int64_t{7})},
+                           {"sigma", Value(int64_t{4})}});
+  ASSERT_TRUE(back.ok()) << back.status().ToString();
+  EXPECT_EQ(ShipKey(*back, "back-trace"), AllColumns(2));
+  EXPECT_FALSE(back->pred(back->PredId("back-trace")).ship_keyed());
+  // apt reads its shipped change only under negation.
+  auto apt = AnalyzeText(queries::Apt(), {{"eps", Value(0.01)}});
+  ASSERT_TRUE(apt.ok()) << apt.status().ToString();
+  EXPECT_EQ(ShipKey(*apt, "change"), AllColumns(2));
+  EXPECT_FALSE(apt->pred(apt->PredId("change")).ship_keyed());
+}
+
+TEST(ShipKeyTest, ColumnsUsedAnywhereInTheRuleJoinTheKey) {
+  constexpr char kT[] = "t(x, a, b, c) <- value(x, a, b), superstep(x, c).\n";
+  struct Case {
+    std::string reader;
+    ColumnSet key;
+  };
+  const Case cases[] = {
+      // A variable twice in the atom.
+      {"r(x, i) <- receive-message(x, y, _m, i), t(y, a, a, _c).",
+       ColumnSetOf(0) | ColumnSetOf(1) | ColumnSetOf(2)},
+      // A constant.
+      {"r(x, i) <- receive-message(x, y, _m, i), t(y, 3, _b, _c).",
+       ColumnSetOf(0) | ColumnSetOf(1)},
+      // A head variable.
+      {"r(x, c) <- receive-message(x, y, _m, _i), t(y, _a, _b, c).",
+       ColumnSetOf(0) | ColumnSetOf(3)},
+      // A variable another literal reads.
+      {"r(x, i) <- receive-message(x, y, _m, i), t(y, _a, b, _c), b > 0.",
+       ColumnSetOf(0) | ColumnSetOf(2)},
+      // Two readers dropping different columns: the key is the union.
+      {"r(x, i) <- receive-message(x, y, _m, i), t(y, a, _b, _c), a > 0.\n"
+       "s(x, i) <- receive-message(x, y, _m, i), t(y, _a, _b, c), c > 0.",
+       ColumnSetOf(0) | ColumnSetOf(1) | ColumnSetOf(3)},
+      // An aggregate rule counts every valuation: every column.
+      {"n(x, COUNT(y)) <- receive-message(x, y, _m, _i), t(y, _a, _b, _c).",
+       AllColumns(4)},
+  };
+  for (const Case& c : cases) {
+    auto q = AnalyzeText(kT + c.reader);
+    ASSERT_TRUE(q.ok()) << c.reader << "\n" << q.status().ToString();
+    EXPECT_EQ(ShipKey(*q, "t"), c.key) << c.reader;
+  }
+}
+
+TEST(ShipKeyTest, OnlyIdbsWithoutAggregateRulesGetNarrowKeys) {
+  // value is an EDB: receivers may lose its rows to retention.
+  auto q = AnalyzeText(
+      "r(x, i) <- receive-message(x, y, _m, i), value(y, _d, _j).");
+  ASSERT_TRUE(q.ok()) << q.status().ToString();
+  const PredicateInfo& value = q->pred(q->PredId("value"));
+  ASSERT_TRUE(value.shipped);
+  EXPECT_EQ(value.ship_key, AllColumns(value.arity));
+  EXPECT_FALSE(value.ship_keyed());
+}
+
 TEST(AnalysisTest, DebugStringMentionsDirection) {
   auto q = AnalyzeText(queries::MonotoneUpdateCheck());
   ASSERT_TRUE(q.ok());
