@@ -142,6 +142,15 @@ OfflineNodes::OfflineNodes(const Graph* graph, const ProvenanceStore* store,
     owned_adjacency_ = std::make_unique<AdjacencyCache>(graph);
     adjacency_ = owned_adjacency_.get();
   }
+  for (ShipRouting routing :
+       {ShipRouting::kAlongMessages, ShipRouting::kAlongReverseMessages,
+        ShipRouting::kAlongOutEdges, ShipRouting::kAlongInEdges}) {
+    for (int pred : query->shipped_preds()) {
+      if (query->pred(pred).routing != routing) continue;
+      routings_.push_back(routing);
+      break;
+    }
+  }
   Reset();
 }
 
@@ -196,20 +205,21 @@ bool OfflineNodes::Round(
     Result<bool> evaluated = nodes_.EvaluatePartition(p, max_stratum);
     if (evaluated.ok() && *evaluated) progress = true;
   }
-  if (!query_->shipped_preds().empty()) {
-    for (VertexId v : active) {
-      const size_t p = NodeDatabases::PartitionOf(v);
-      for (ShipRouting routing :
-           {ShipRouting::kAlongMessages, ShipRouting::kAlongReverseMessages,
-            ShipRouting::kAlongOutEdges, ShipRouting::kAlongInEdges}) {
-        const ShipRange range =
-            nodes_.CollectShips(v, routing, &next_batches_[p]);
-        if (range.empty()) continue;
-        progress = true;
-        for (VertexId target : routes.Targets(v, routing, *adjacency_)) {
-          next_inbox_[target].push_back(
-              InboxEntry{static_cast<uint32_t>(p), range});
-        }
+  for (VertexId v : active) {
+    const size_t p = NodeDatabases::PartitionOf(v);
+    for (ShipRouting routing : routings_) {
+      // Rows of a class stay pending until a round in which v has a peer
+      // in it, as online ships leave only when the analytic sends.
+      const std::span<const VertexId> targets =
+          routes.Targets(v, routing, *adjacency_);
+      if (targets.empty()) continue;
+      const ShipRange range =
+          nodes_.CollectShips(v, routing, &next_batches_[p]);
+      if (range.empty()) continue;
+      progress = true;
+      for (VertexId target : targets) {
+        next_inbox_[target].push_back(
+            InboxEntry{static_cast<uint32_t>(p), range});
       }
     }
   }

@@ -158,8 +158,9 @@ class OfflineNodes {
   /// in sender order and `facts(v)`'s slices, every partition with an
   /// active vertex evaluates strata up to `max_stratum`, and each vertex's
   /// new self-located shipped rows are queued for the next barrier, per
-  /// routing class, along `routes`. Returns whether anything was derived
-  /// or shipped. Evaluation errors are kept in nodes().status().
+  /// routing class, along `routes`. A class's rows stay pending while the
+  /// vertex has no target in it. Returns whether anything was derived or
+  /// shipped. Evaluation errors are kept in nodes().status().
   bool Round(std::span<const VertexId> active,
              const std::function<std::span<const LayerSlice* const>(
                  VertexId)>& facts,
@@ -193,6 +194,8 @@ class OfflineNodes {
   std::vector<ShipBatch> next_batches_;
   AdjacencyCache* adjacency_;
   std::unique_ptr<AdjacencyCache> owned_adjacency_;
+  /// The routing classes of the query's shipped predicates.
+  std::vector<ShipRouting> routings_;
 };
 
 /// One query's layered evaluation, resumable in layer-sized steps — the

@@ -156,6 +156,45 @@ TEST_P(ModeEquivalenceTest, AptAgreesAcrossOnlineLayeredNaive) {
   EXPECT_LE(layered->stats.supersteps, store.num_layers());
 }
 
+// Query 3 from vertex 1, which is not SSSP's source: it stays idle at
+// superstep 0, so its lineage rows wait until it first sends, online and
+// layered alike. (Naive may differ: it also accepts a sender's lineage
+// acquired at a later superstep.)
+TEST_P(ModeEquivalenceTest, ForwardLineageAgreesOnlineAndLayered) {
+  const auto [analytic, graph_kind, seed] = GetParam();
+  auto graph = MakeGraph(graph_kind, seed);
+  ASSERT_TRUE(graph.ok());
+  Session session(&*graph);
+  const QueryParams alpha{{"alpha", Value(int64_t{1})}};
+
+  auto fwd_online = session.PrepareOnline(queries::CaptureForwardLineage(),
+                                          alpha);
+  ASSERT_TRUE(fwd_online.ok()) << fwd_online.status().ToString();
+  QueryResult online;
+  ASSERT_TRUE(WithAnalytic(analytic, [&](auto& program) -> Status {
+                auto run = session.RunOnline(program, *fwd_online);
+                if (!run.ok()) return run.status();
+                online = std::move(run->query_result);
+                return Status::OK();
+              }).ok());
+
+  ProvenanceStore store;
+  auto capture = session.PrepareOnline(queries::CaptureFull());
+  ASSERT_TRUE(capture.ok());
+  ASSERT_TRUE(WithAnalytic(analytic, [&](auto& program) -> Status {
+                return session.Capture(program, *capture, &store).status();
+              }).ok());
+  auto fwd_offline = session.PrepareOffline(queries::CaptureForwardLineage(),
+                                            store, alpha);
+  ASSERT_TRUE(fwd_offline.ok()) << fwd_offline.status().ToString();
+  auto layered = session.RunOffline(&store, *fwd_offline, EvalMode::kLayered);
+  ASSERT_TRUE(layered.ok()) << layered.status().ToString();
+
+  const std::vector<std::string> rows = TableStrings(online, "fwd-lineage");
+  EXPECT_FALSE(rows.empty());
+  EXPECT_EQ(rows, TableStrings(layered->result, "fwd-lineage"));
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Sweep, ModeEquivalenceTest,
     testing::Combine(testing::Values(Analytic::kPageRank, Analytic::kSssp,
