@@ -16,6 +16,7 @@
 #include <cstdio>
 #include <future>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bench_common.h"
@@ -205,6 +206,8 @@ int RunChaosSweep(const std::string& json_path) {
   bench::JsonObject top;
   top.Set("bench", "chaos_transient_fault_overhead")
       .SetRaw("workload", workload.Dump())
+      .Set("host_hardware_threads",
+           static_cast<int64_t>(std::thread::hardware_concurrency()))
       .Set("throughput_loss_pct_at_1pct_faults", loss_at_1pct * 100.0)
       .Set("meets_sub_10pct_loss_bar", meets_bar)
       .SetRaw("results", bench::JsonArray(rows, 4));

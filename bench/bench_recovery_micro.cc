@@ -10,6 +10,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bench_common.h"
@@ -158,6 +159,8 @@ int RunRecoverySweep(const std::string& json_path) {
       .SetRaw("graph", graph_info.Dump())
       .Set("analytic", "pagerank, capture-full")
       .Set("reps", bench::BenchReps())
+      .Set("host_hardware_threads",
+           static_cast<int64_t>(std::thread::hardware_concurrency()))
       .SetRaw("sweep", bench::JsonArray(sweep_json, 4))
       .Set("overhead_every4", overhead_every4)
       .Set("overhead_bar", 0.10)
