@@ -402,7 +402,7 @@ void Table4(Fixture& f, Rows& rows) {
     // Distinct vertices with at least one captured tuple.
     std::set<VertexId> covered;
     for (int s = 0; s < store.num_layers(); ++s) {
-      const Layer* layer = Must(store.GetLayer(s), "read layer");
+      const auto layer = Must(store.GetLayerRelations(s, {}), "read layer");
       for (const auto& slice : layer->slices) covered.insert(slice.vertex);
     }
     const size_t bytes = store.TotalBytes();
@@ -633,7 +633,7 @@ void Fig11(Fixture& f, Rows& rows) {
 QueryParams TraceSeed(ProvenanceStore& store) {
   const int superstep_rel = store.RelId("superstep");
   for (int step = store.num_layers() - 1; step >= 0; --step) {
-    const Layer* layer = Must(store.GetLayer(step), "read layer");
+    const auto layer = Must(store.GetLayerRelations(step, {}), "read layer");
     for (const auto& slice : layer->slices) {
       if (slice.rel == superstep_rel && !slice.tuples.empty()) {
         return {{"alpha", Value(static_cast<int64_t>(slice.vertex))},
@@ -699,7 +699,7 @@ size_t UnfoldedBytes(ProvenanceStore& store) {
   const int receive_rel = store.RelId("receive-message");
   size_t nodes = 0, edges = 0, payload = 0;
   for (int s = 0; s < store.num_layers(); ++s) {
-    const Layer* layer = Must(store.GetLayer(s), "read layer");
+    const auto layer = Must(store.GetLayerRelations(s, {}), "read layer");
     for (const auto& slice : layer->slices) {
       if (slice.rel == superstep_rel) {
         nodes += slice.tuples.size();

@@ -114,7 +114,7 @@ int RunStoreSweep(const std::string& json_path) {
   // into a fresh spilling store.
   std::vector<std::shared_ptr<const storage::CaptureBatch>> layers;
   for (int s = 0; s < n_layers; ++s) {
-    auto layer = reference.GetLayer(s);
+    auto layer = reference.GetLayerRelations(s, {});
     ARIADNE_CHECK(layer.ok());
     layers.push_back(std::make_shared<const storage::CaptureBatch>(
         storage::CaptureBatch::FromLayer(**layer)));

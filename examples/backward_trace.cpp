@@ -50,7 +50,7 @@ int main() {
   VertexId target = source;
   double max_distance = -1;
   {
-    auto layer = store.GetLayer(last);
+    auto layer = store.GetLayerRelations(last, {});
     if (!layer.ok()) return 1;
     const int prov_value = store.RelId("prov-value");
     for (const auto& slice : (*layer)->slices) {

@@ -460,9 +460,7 @@ class Engine {
     chunk_sent_.assign(num_chunks, 0);
     chunk_dropped_.assign(num_chunks, 0);
     chunk_combined_.assign(num_chunks, 0);
-    const bool sender_combine =
-        combiner != nullptr && options_.sender_side_combining;
-    if (sender_combine && scratch_.size() != workers) {
+    if (combiner != nullptr && scratch_.size() != workers) {
       scratch_.assign(workers, CombineScratch{});
     }
     pool_.ParallelForChunked(
@@ -476,7 +474,7 @@ class Engine {
             for (auto& shard : out.shards) shard.clear();
           }
           CombineScratch* scratch = nullptr;
-          if (sender_combine) {
+          if (combiner != nullptr) {
             scratch = &scratch_[worker];
             if (scratch->epoch.size() !=
                 static_cast<size_t>(graph_->num_vertices())) {
@@ -490,8 +488,7 @@ class Engine {
           }
           Ctx ctx(this, step);
           agg_buffers_[c].clear();
-          ctx.BeginChunk(&out.shards, sender_combine ? combiner : nullptr,
-                         scratch, &agg_buffers_[c]);
+          ctx.BeginChunk(&out.shards, combiner, scratch, &agg_buffers_[c]);
           RunChunk(program, ctx, begin, end);
           chunk_sent_[c] = ctx.sent();
           chunk_dropped_[c] = ctx.dropped();

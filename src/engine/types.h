@@ -29,11 +29,6 @@ struct EngineOptions {
   /// what keeps message delivery order (and therefore captured provenance)
   /// bit-identical across thread counts.
   size_t chunk_size = 1024;
-  /// Combine messages in the sender's per-chunk outbox when the program
-  /// registers a MessageCombiner (Quegel-style sender-side combining).
-  /// Cuts outbox memory traffic for high-fan-in targets; the owner merge
-  /// still combines across chunks.
-  bool sender_side_combining = true;
 
   // -- Checkpoint / restart (DESIGN.md §2.4) --
 

@@ -385,7 +385,10 @@ class VertexState {
       return Status::ParseError("vertex-state page " + std::to_string(p) +
                                 " checksum mismatch in " + spill_path_);
     }
-    std::memcpy(data, raw.data(), PageBytes());
+    // ConfigurePaged refuses any other value type at run time.
+    if constexpr (std::is_trivially_copyable_v<V>) {
+      std::memcpy(data, raw.data(), PageBytes());
+    }
     return Status::OK();
   }
 

@@ -146,15 +146,6 @@ Result<bool> NodeDatabases::EvaluatePartition(size_t p, int max_stratum) {
   return evaluated;
 }
 
-std::vector<VertexId> NodeDatabases::ActiveVertices(size_t p) const {
-  const Partition& part = parts_[p];
-  std::vector<VertexId> out;
-  out.reserve(part.active.size());
-  const VertexId base = static_cast<VertexId>(p) * kPartitionVertices;
-  for (Holder h : part.active) out.push_back(base + static_cast<VertexId>(h));
-  return out;
-}
-
 void NodeDatabases::EndRound(size_t p) {
   Partition& part = parts_[p];
   for (Holder h : part.active) part.is_active[h] = 0;
@@ -188,8 +179,7 @@ Status NodeDatabases::status() const {
   return first_error_;
 }
 
-ShipRange NodeDatabases::CollectShips(VertexId v,
-                                      std::optional<ShipRouting> routing,
+ShipRange NodeDatabases::CollectShips(VertexId v, ShipRouting routing,
                                       ShipBatch* out) {
   ShipRange range;
   range.begin = range.end = static_cast<uint32_t>(out->rows.size());
@@ -200,7 +190,7 @@ ShipRange NodeDatabases::CollectShips(VertexId v,
   const VertexId base = v - static_cast<VertexId>(h);
   for (size_t k = 0; k < shipped.size(); ++k) {
     const int pred = shipped[k];
-    if (routing && query_->pred(pred).routing != *routing) continue;
+    if (query_->pred(pred).routing != routing) continue;
     const Relation* rel = part.db->RelIfExists(pred);
     if (rel == nullptr) continue;
     // Sort the partition's rows inserted since the last scan into their
@@ -301,6 +291,117 @@ MergedNodes NodeDatabases::Merge() const {
     merged.state_bytes += part.db->TotalBytes();
   }
   return merged;
+}
+
+ShipExchange::ShipExchange(const AnalyzedQuery* query, const Graph* graph)
+    : graph_(graph) {
+  for (ShipRouting routing :
+       {ShipRouting::kAlongMessages, ShipRouting::kAlongReverseMessages,
+        ShipRouting::kAlongOutEdges, ShipRouting::kAlongInEdges}) {
+    for (int pred : query->shipped_preds()) {
+      if (query->pred(pred).routing != routing) continue;
+      routings_.push_back(routing);
+      break;
+    }
+  }
+  const size_t n = static_cast<size_t>(graph_->num_vertices());
+  const size_t parts = (n + kPartitionVertices - 1) / kPartitionVertices;
+  outboxes_.resize(parts);
+  arrived_.resize(parts);
+  offsets_.assign(n + 1, 0);
+}
+
+void ShipExchange::Barrier() {
+  // A counting sort of the outboxes by receiver, stable in partition (and
+  // so sender) order.
+  std::fill(offsets_.begin(), offsets_.end(), 0);
+  for (const Outbox& out : outboxes_) {
+    for (const auto& [target, range] : out.entries) {
+      ++offsets_[static_cast<size_t>(target) + 1];
+    }
+  }
+  recipients_.clear();
+  for (size_t v = 0; v + 1 < offsets_.size(); ++v) {
+    if (offsets_[v + 1] != 0) recipients_.push_back(static_cast<VertexId>(v));
+    offsets_[v + 1] += offsets_[v];
+  }
+  inbox_.resize(offsets_.back());
+  std::vector<uint32_t> next(offsets_.begin(), offsets_.end() - 1);
+  for (size_t p = 0; p < outboxes_.size(); ++p) {
+    std::swap(arrived_[p], outboxes_[p].batch);
+    outboxes_[p].batch.Clear();
+    for (const auto& [target, range] : outboxes_[p].entries) {
+      inbox_[next[static_cast<size_t>(target)]++] =
+          Delivery{static_cast<uint32_t>(p), range};
+    }
+    outboxes_[p].entries.clear();
+  }
+}
+
+void ShipExchange::Deliver(VertexId v, NodeDatabases& nodes) const {
+  const size_t i = static_cast<size_t>(v);
+  for (uint32_t k = offsets_[i]; k < offsets_[i + 1]; ++k) {
+    nodes.InsertShips(v, arrived_[inbox_[k].partition], inbox_[k].range);
+  }
+}
+
+bool ShipExchange::Ship(VertexId v, ShipRouting routing,
+                        std::span<const VertexId> targets,
+                        NodeDatabases& nodes) {
+  if (targets.empty()) return false;
+  Outbox& out = outboxes_[NodeDatabases::PartitionOf(v)];
+  const ShipRange range = nodes.CollectShips(v, routing, &out.batch);
+  if (range.empty()) return false;
+  for (VertexId target : targets) {
+    if (target >= 0 && target < graph_->num_vertices()) {
+      out.entries.emplace_back(target, range);
+    }
+  }
+  return true;
+}
+
+bool RunRound(NodeDatabases& nodes, ShipExchange& ships, const Round& round) {
+  // Each partition's active vertices are a run of the ascending list.
+  const std::span<const VertexId> active = round.active;
+  std::vector<std::span<const VertexId>> parts;
+  for (auto it = active.begin(); it != active.end();) {
+    const VertexId limit = (*it / kPartitionVertices + 1) * kPartitionVertices;
+    const auto end = std::lower_bound(it, active.end(), limit);
+    parts.emplace_back(it, end);
+    it = end;
+  }
+  std::vector<uint8_t> progress(parts.size(), 0);
+  auto run = [&](size_t i) {
+    const std::span<const VertexId> vertices = parts[i];
+    const size_t p = NodeDatabases::PartitionOf(vertices.front());
+    for (VertexId v : vertices) {
+      nodes.Activate(v);
+      if (round.facts) round.facts(v);
+      ships.Deliver(v, nodes);
+    }
+    Result<bool> evaluated = nodes.EvaluatePartition(p, round.max_stratum);
+    bool any = evaluated.ok() && *evaluated;
+    for (VertexId v : vertices) {
+      for (ShipRouting routing : ships.routings()) {
+        if (ships.Ship(v, routing, round.targets(v, routing), nodes)) {
+          any = true;
+        }
+      }
+    }
+    if (round.on_partition) round.on_partition(p, vertices);
+    nodes.EndRound(p);
+    progress[i] = any ? 1 : 0;
+  };
+  if (round.pool != nullptr) {
+    round.pool->ParallelForChunked(
+        parts.size(), 1,
+        [&](size_t /*worker*/, size_t /*chunk*/, size_t begin, size_t end) {
+          for (size_t i = begin; i < end; ++i) run(i);
+        });
+  } else {
+    for (size_t i = 0; i < parts.size(); ++i) run(i);
+  }
+  return std::find(progress.begin(), progress.end(), 1) != progress.end();
 }
 
 void DropHistory(const AnalyzedQuery& query, Database& db, Superstep cutoff,

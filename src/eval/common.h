@@ -5,10 +5,10 @@
 #include <limits>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <span>
 #include <vector>
 
+#include "common/thread_pool.h"
 #include "engine/types.h"
 #include "pql/analysis.h"
 #include "pql/evaluator.h"
@@ -24,8 +24,8 @@ inline constexpr VertexId kPartitionVertices = 64;
 
 /// Rows of shipped relations collected from one partition's holders in
 /// one round, each sender's rows contiguous (a [begin, end) range of
-/// `rows`). The online barrier and the offline rounds route ranges of
-/// these batches instead of per-message copies.
+/// `rows`). ShipExchange routes ranges of these batches instead of
+/// per-message copies.
 struct ShipBatch {
   struct Row {
     int pred = -1;
@@ -60,12 +60,13 @@ struct MergedNodes {
 /// a database per provenance node, remote tables shipped along message
 /// edges), kept set-at-a-time: one Database per kPartitionVertices-vertex
 /// range, each vertex a holder of its partition's relations (see
-/// Relation). Drivers feed a round's facts to the vertices they activate
-/// (Insert, ClearHolder), evaluate each partition that has active
-/// vertices once (EvaluatePartition), then collect ships and capture
-/// deltas and close the round (EndRound). Online, layered and naive
-/// evaluation all run a query through this class; they differ only in
-/// which facts feed a vertex and when strata synchronize.
+/// Relation). RunRound drives it: it activates a round's vertices, feeds
+/// them their facts (Insert, ClearHolder) and ships (InsertShips),
+/// evaluates each partition that has active vertices once
+/// (EvaluatePartition), collects ships (CollectShips) and closes the
+/// round (EndRound). Online, layered and naive evaluation all run a query
+/// this way; they differ only in which facts feed a vertex, where its
+/// ships go and when strata synchronize.
 ///
 /// A partition's state must be touched by one thread at a time; distinct
 /// partitions may be used concurrently (the online barrier evaluates them
@@ -105,10 +106,6 @@ class NodeDatabases {
   Result<bool> EvaluatePartition(
       size_t p, int max_stratum = std::numeric_limits<int>::max());
 
-  /// Vertices activated in partition `p` since its last EndRound,
-  /// ascending (valid after EvaluatePartition).
-  std::vector<VertexId> ActiveVertices(size_t p) const;
-
   /// Ends partition p's round: forgets its active set and compacts dead
   /// rows.
   void EndRound(size_t p);
@@ -116,15 +113,13 @@ class NodeDatabases {
   /// First evaluation error of any partition (OK when none).
   Status status() const;
 
-  /// Appends v's rows of shipped relations inserted since its last
-  /// collection to `out` and returns their range. With a `routing`, only
-  /// the shipped predicates of that class (offline evaluation routes each
-  /// class separately). Only rows *located at* `v` (column 0) ship:
-  /// remote rows that arrived via earlier ships are someone else's
-  /// partition and must not be re-shipped (distributed semantics, and the
-  /// difference between O(E) and epidemic flooding).
-  ShipRange CollectShips(VertexId v, std::optional<ShipRouting> routing,
-                         ShipBatch* out);
+  /// Appends v's rows of the shipped predicates of class `routing`
+  /// inserted since its last collection to `out` and returns their range
+  /// (each class has its own targets). Only rows *located at* `v` (column
+  /// 0) ship: remote rows that arrived via earlier ships are someone
+  /// else's partition and must not be re-shipped (distributed semantics,
+  /// and the difference between O(E) and epidemic flooding).
+  ShipRange CollectShips(VertexId v, ShipRouting routing, ShipBatch* out);
 
   /// Output rows located at their holder that partition `p` derived since
   /// the last call, per holder ascending, then per output predicate:
@@ -181,6 +176,81 @@ class NodeDatabases {
   mutable std::mutex mu_;
   Status first_error_;
 };
+
+/// The ships in flight between two round barriers (paper §5: a vertex's
+/// new rows of shipped relations travel along its message edges and
+/// arrive at the next barrier). Each partition queues its senders' rows
+/// into its own batch and its own outbox of (target, range) entries, so
+/// partitions ship concurrently. Barrier() merges the outboxes in
+/// partition order, which hands every receiver its ships in sender order
+/// at any thread count.
+class ShipExchange {
+ public:
+  /// Nothing in flight. Both pointers must outlive this object.
+  ShipExchange(const AnalyzedQuery* query, const Graph* graph);
+
+  /// The routing classes of the query's shipped predicates.
+  std::span<const ShipRouting> routings() const { return routings_; }
+
+  /// Round barrier: the ships queued since the previous barrier become
+  /// deliverable.
+  void Barrier();
+  /// Vertices with deliverable ships, ascending.
+  std::span<const VertexId> Recipients() const { return recipients_; }
+  /// Inserts v's deliverable ships into its state, in sender order.
+  void Deliver(VertexId v, NodeDatabases& nodes) const;
+
+  /// Collects v's new self-located rows of `routing` (CollectShips) into
+  /// its partition's batch and queues them for every target inside the
+  /// graph (the engine drops messages to any other id). With no target
+  /// the rows stay pending, as online rows leave only when the analytic
+  /// sends. Returns whether any row was collected. Touches only v's
+  /// partition's batch and outbox.
+  bool Ship(VertexId v, ShipRouting routing,
+            std::span<const VertexId> targets, NodeDatabases& nodes);
+
+ private:
+  struct Outbox {
+    ShipBatch batch;
+    std::vector<std::pair<VertexId, ShipRange>> entries;  ///< (target, rows)
+  };
+  /// Rows of one sender, in its partition's batch of the previous round.
+  struct Delivery {
+    uint32_t partition;
+    ShipRange range;
+  };
+
+  const Graph* graph_;
+  std::vector<ShipRouting> routings_;
+  std::vector<Outbox> outboxes_;    ///< per partition, filled this round
+  std::vector<ShipBatch> arrived_;  ///< per partition, the previous round's
+  /// v's deliveries are inbox_[offsets_[v], offsets_[v + 1]).
+  std::vector<uint32_t> offsets_;
+  std::vector<Delivery> inbox_;
+  std::vector<VertexId> recipients_;
+};
+
+/// What a driver hands RunRound; `facts` and `on_partition` may be empty.
+struct Round {
+  std::span<const VertexId> active;  ///< ascending
+  std::function<void(VertexId)> facts;  ///< inserts v's facts of the round
+  /// Where v's new rows of one routing class go this round.
+  std::function<std::span<const VertexId>(VertexId, ShipRouting)> targets;
+  /// Per partition, with its active vertices, before it closes.
+  std::function<void(size_t, std::span<const VertexId>)> on_partition;
+  int max_stratum = std::numeric_limits<int>::max();
+  ThreadPool* pool = nullptr;  ///< runs the partitions; null: in order
+};
+
+/// One round of a query's per-vertex program on the BSP schedule (paper
+/// §5, Theorem 5.4), the same in every evaluation mode: each active
+/// vertex is activated and receives its facts, then its ships in sender
+/// order; each partition with an active vertex evaluates strata up to
+/// `max_stratum` once; each vertex queues its new self-located rows, per
+/// routing class, to its targets; each partition closes (EndRound).
+/// Returns whether anything was derived or shipped. Evaluation errors are
+/// kept in nodes.status().
+bool RunRound(NodeDatabases& nodes, ShipExchange& ships, const Round& round);
 
 /// The retention step: marks `holder`'s EDB rows of steps before `cutoff`
 /// dead (relations whose EDB kind has a superstep column). Keeps IDB

@@ -124,113 +124,22 @@ std::shared_ptr<const LayerView> BuildLayerView(
   return view;
 }
 
-// ---- OfflineNodes ----
+// ---- Offline facts ----
 
-OfflineNodes::OfflineNodes(const Graph* graph, const ProvenanceStore* store,
-                           const AnalyzedQuery* query,
-                           AdjacencyCache* adjacency)
-    : graph_(graph),
-      query_(query),
-      nodes_(query, graph),
-      adjacency_(adjacency) {
-  // Stored relation -> query predicate resolution (by name).
-  rel_to_pred_.resize(store->schema().size(), -1);
-  for (size_t r = 0; r < store->schema().size(); ++r) {
-    rel_to_pred_[r] = query->PredId(store->schema()[r].name);
+std::vector<int> StorePredicates(const ProvenanceStore& store,
+                                 const AnalyzedQuery& query) {
+  std::vector<int> preds(store.schema().size(), -1);
+  for (size_t r = 0; r < preds.size(); ++r) {
+    preds[r] = query.PredId(store.schema()[r].name);
   }
-  if (adjacency_ == nullptr) {
-    owned_adjacency_ = std::make_unique<AdjacencyCache>(graph);
-    adjacency_ = owned_adjacency_.get();
-  }
-  for (ShipRouting routing :
-       {ShipRouting::kAlongMessages, ShipRouting::kAlongReverseMessages,
-        ShipRouting::kAlongOutEdges, ShipRouting::kAlongInEdges}) {
-    for (int pred : query->shipped_preds()) {
-      if (query->pred(pred).routing != routing) continue;
-      routings_.push_back(routing);
-      break;
-    }
-  }
-  Reset();
+  return preds;
 }
 
-void OfflineNodes::Reset() {
-  nodes_.Reset();
-  inbox_.clear();
-  next_inbox_.clear();
-  batches_.assign(nodes_.num_partitions(), ShipBatch{});
-  next_batches_.assign(nodes_.num_partitions(), ShipBatch{});
-}
-
-void OfflineNodes::InsertSlice(const LayerSlice& slice) {
-  const int pred = PredOf(slice.rel);
+void InsertSlice(const LayerSlice& slice, const std::vector<int>& preds,
+                 NodeDatabases& nodes) {
+  const int pred = preds[static_cast<size_t>(slice.rel)];
   if (pred < 0) return;  // relation not referenced by this query
-  for (const Tuple& t : slice.tuples) nodes_.Insert(slice.vertex, pred, t);
-}
-
-void OfflineNodes::Barrier() {
-  inbox_ = std::move(next_inbox_);
-  next_inbox_.clear();
-  std::swap(batches_, next_batches_);
-  for (ShipBatch& batch : next_batches_) batch.Clear();
-}
-
-std::vector<VertexId> OfflineNodes::Recipients() const {
-  std::vector<VertexId> out;
-  out.reserve(inbox_.size());
-  for (const auto& [v, entries] : inbox_) out.push_back(v);
-  return out;
-}
-
-bool OfflineNodes::Round(
-    std::span<const VertexId> active,
-    const std::function<std::span<const LayerSlice* const>(VertexId)>& facts,
-    const ShipRoutes& routes, int max_stratum) {
-  std::vector<size_t> partitions;
-  for (VertexId v : active) {
-    nodes_.Activate(v);
-    if (auto it = inbox_.find(v); it != inbox_.end()) {
-      for (const InboxEntry& entry : it->second) {
-        nodes_.InsertShips(v, batches_[entry.partition], entry.range);
-      }
-    }
-    if (facts) {
-      for (const LayerSlice* slice : facts(v)) InsertSlice(*slice);
-    }
-    const size_t p = NodeDatabases::PartitionOf(v);
-    if (partitions.empty() || partitions.back() != p) partitions.push_back(p);
-  }
-  bool progress = false;
-  for (size_t p : partitions) {
-    Result<bool> evaluated = nodes_.EvaluatePartition(p, max_stratum);
-    if (evaluated.ok() && *evaluated) progress = true;
-  }
-  for (VertexId v : active) {
-    const size_t p = NodeDatabases::PartitionOf(v);
-    for (ShipRouting routing : routings_) {
-      // Rows of a class stay pending until a round in which v has a peer
-      // in it, as online ships leave only when the analytic sends.
-      const std::span<const VertexId> targets =
-          routes.Targets(v, routing, *adjacency_);
-      if (targets.empty()) continue;
-      const ShipRange range =
-          nodes_.CollectShips(v, routing, &next_batches_[p]);
-      if (range.empty()) continue;
-      progress = true;
-      for (VertexId target : targets) {
-        next_inbox_[target].push_back(
-            InboxEntry{static_cast<uint32_t>(p), range});
-      }
-    }
-  }
-  for (size_t p : partitions) nodes_.EndRound(p);
-  return progress;
-}
-
-Status OfflineNodes::BackendStatus(const std::string& where) const {
-  Status error = graph_->backend_error();
-  if (error.ok()) return error;
-  return error.WithContext("graph backend failed during " + where);
+  for (const Tuple& t : slice.tuples) nodes.Insert(slice.vertex, pred, t);
 }
 
 // ---- LayeredQueryRun ----
@@ -242,7 +151,14 @@ LayeredQueryRun::LayeredQueryRun(const Graph* graph,
     : graph_(graph),
       store_(store),
       query_(query),
-      core_(graph, store, query, adjacency) {
+      preds_(StorePredicates(*store, *query)),
+      nodes_(query, graph),
+      ships_(query, graph),
+      adjacency_(adjacency) {
+  if (adjacency_ == nullptr) {
+    owned_adjacency_ = std::make_unique<AdjacencyCache>(graph);
+    adjacency_ = owned_adjacency_.get();
+  }
   descending_ = query_->direction() == Direction::kBackward;
   // Ship routing follows the *recorded* message edges of the store,
   // independent of whether the query itself reads them.
@@ -263,7 +179,16 @@ LayeredQueryRun::LayeredQueryRun(const Graph* graph,
 }
 
 bool LayeredQueryRun::RelMatters(int rel) const {
-  return core_.PredOf(rel) >= 0 || rel == send_rel_ || rel == receive_rel_;
+  return preds_[static_cast<size_t>(rel)] >= 0 || rel == send_rel_ ||
+         rel == receive_rel_;
+}
+
+void LayeredQueryRun::InsertSlices(const SliceIndex& index, VertexId v) {
+  auto it = index.find(v);
+  if (it == index.end()) return;
+  for (const LayerSlice* slice : it->second) {
+    InsertSlice(*slice, preds_, nodes_);
+  }
 }
 
 Status LayeredQueryRun::Init() {
@@ -276,7 +201,8 @@ Status LayeredQueryRun::Init() {
   }
   total_steps_ = store_->num_layers();
   processing_step_ = 0;
-  core_.Reset();
+  nodes_.Reset();
+  ships_ = ShipExchange(query_, graph_);
   // Index the static segment once.
   static_index_.clear();
   for (const auto& slice : store_->static_data().slices) {
@@ -312,7 +238,7 @@ Status LayeredQueryRun::Step(const LayerView& view) {
   peak_layer_bytes_ = std::max(peak_layer_bytes_, view.layer->byte_size);
 
   // Ships sent during the previous step arrive at this one's barrier.
-  core_.Barrier();
+  ships_.Barrier();
 
   // The BSP engine ran Compute for every vertex each superstep, but a
   // vertex that received nothing and has no new facts returned before
@@ -326,7 +252,7 @@ Status LayeredQueryRun::Step(const LayerView& view) {
       active[static_cast<size_t>(v)] = v;
     }
   } else {
-    active = core_.Recipients();
+    active.assign(ships_.Recipients().begin(), ships_.Recipients().end());
     for (const auto& [v, slices] : view.by_vertex) {
       // A shared superset view may hold slices of relations this query
       // never reads; they must not count as "touched".
@@ -340,39 +266,33 @@ Status LayeredQueryRun::Step(const LayerView& view) {
     SortUnique(active);
   }
 
-  // This layer's facts for v (InsertSlice skips relations the query does
-  // not read), after the static segment on the first step.
-  core_.Round(active,
-              [&](VertexId v) -> std::span<const LayerSlice* const> {
-                auto it = view.by_vertex.find(v);
-                if (step == 0) {
-                  facts_.clear();
-                  if (auto s = static_index_.find(v);
-                      s != static_index_.end()) {
-                    facts_ = s->second;
-                  }
-                  if (it != view.by_vertex.end()) {
-                    facts_.insert(facts_.end(), it->second.begin(),
-                                  it->second.end());
-                  }
-                  return facts_;
-                }
-                if (it == view.by_vertex.end()) return {};
-                return it->second;
-              },
-              view.routes);
+  // v's facts are this layer's slices, after the static segment's on the
+  // first step; its ships follow the layer's recorded message edges.
+  Round round;
+  round.active = active;
+  round.facts = [&](VertexId v) {
+    if (step == 0) InsertSlices(static_index_, v);
+    InsertSlices(view.by_vertex, v);
+  };
+  round.targets = [&](VertexId v, ShipRouting routing) {
+    return view.routes.Targets(v, routing, *adjacency_);
+  };
+  RunRound(nodes_, ships_, round);
 
   ++processing_step_;
-  return core_.BackendStatus("layered step " + std::to_string(step));
+  // A paged backend serves an empty span when a partition read fails, so
+  // an unchecked failure would read as missing edges.
+  return graph_->backend_error().WithContext(
+      "graph backend failed during layered step " + std::to_string(step));
 }
 
 Result<OfflineRun> LayeredQueryRun::Finish(double seconds) {
   if (!done()) {
     return Status::InvalidArgument("layered run has unprocessed layers");
   }
-  ARIADNE_RETURN_NOT_OK(core_.nodes().status());
+  ARIADNE_RETURN_NOT_OK(nodes_.status());
 
-  MergedNodes merged = core_.nodes().Merge();
+  MergedNodes merged = nodes_.Merge();
   OfflineRun run;
   run.result = std::move(merged.result);
   run.stats.eval = std::move(merged.eval);

@@ -1,8 +1,6 @@
 #ifndef ARIADNE_EVAL_LAYERED_STEP_H_
 #define ARIADNE_EVAL_LAYERED_STEP_H_
 
-#include <functional>
-#include <limits>
 #include <memory>
 #include <span>
 #include <string>
@@ -119,84 +117,15 @@ class AdjacencyCache {
   std::vector<std::vector<uint8_t>> filled_;
 };
 
-/// The shared core of offline (layered and naive) evaluation: the
-/// partitioned query state plus the ships in flight between round
-/// barriers. A driver runs Round over the vertices it activates, with
-/// Barrier() between rounds: every activated vertex receives its ships in
-/// sender order and its facts, each partition evaluates once, then every
-/// activated vertex queues its new shipped rows for the next round — the
-/// schedule the BSP engine ran (ships delivered at the barrier in sender
-/// order). The drivers differ only in which facts feed a vertex (one
-/// layer per step, or everything up front) and in when strata
-/// synchronize.
-class OfflineNodes {
- public:
-  /// `adjacency` may be shared across concurrent users only when
-  /// precomputed; nullptr makes this object own a lazily filled private
-  /// cache. All pointers must outlive this object.
-  OfflineNodes(const Graph* graph, const ProvenanceStore* store,
-               const AnalyzedQuery* query, AdjacencyCache* adjacency);
+/// The query predicate each store relation feeds, by name (-1 when the
+/// query does not read it).
+std::vector<int> StorePredicates(const ProvenanceStore& store,
+                                 const AnalyzedQuery& query);
 
-  /// Drops all query state and every ship in flight.
-  void Reset();
-
-  /// The query predicate store relation `rel` feeds, or -1 when the
-  /// query does not read it.
-  int PredOf(int rel) const { return rel_to_pred_[static_cast<size_t>(rel)]; }
-
-  /// Inserts `slice`'s tuples into its vertex's state (no-op for a
-  /// relation the query does not read).
-  void InsertSlice(const LayerSlice& slice);
-
-  /// Round barrier: the ships queued since the previous barrier become
-  /// deliverable.
-  void Barrier();
-  /// Vertices with deliverable ships (unordered).
-  std::vector<VertexId> Recipients() const;
-
-  /// One round over `active` (ascending): each vertex receives its ships
-  /// in sender order and `facts(v)`'s slices, every partition with an
-  /// active vertex evaluates strata up to `max_stratum`, and each vertex's
-  /// new self-located shipped rows are queued for the next barrier, per
-  /// routing class, along `routes`. A class's rows stay pending while the
-  /// vertex has no target in it. Returns whether anything was derived or
-  /// shipped. Evaluation errors are kept in nodes().status().
-  bool Round(std::span<const VertexId> active,
-             const std::function<std::span<const LayerSlice* const>(
-                 VertexId)>& facts,
-             const ShipRoutes& routes,
-             int max_stratum = std::numeric_limits<int>::max());
-
-  /// The graph backend's sticky error, with `where` as context. A paged
-  /// backend serves an empty span when a partition read fails, so an
-  /// unchecked failure reads as missing edges; drivers check after every
-  /// step or round.
-  Status BackendStatus(const std::string& where) const;
-
-  const NodeDatabases& nodes() const { return nodes_; }
-
- private:
-  /// A sender's rows in one partition's batch of the previous round.
-  struct InboxEntry {
-    uint32_t partition;
-    ShipRange range;
-  };
-  using Inbox = std::unordered_map<VertexId, std::vector<InboxEntry>>;
-
-  const Graph* graph_;
-  const AnalyzedQuery* query_;
-  std::vector<int> rel_to_pred_;
-  NodeDatabases nodes_;
-  Inbox inbox_;
-  Inbox next_inbox_;
-  /// Per partition: the batch the inbox reads, and the one being filled.
-  std::vector<ShipBatch> batches_;
-  std::vector<ShipBatch> next_batches_;
-  AdjacencyCache* adjacency_;
-  std::unique_ptr<AdjacencyCache> owned_adjacency_;
-  /// The routing classes of the query's shipped predicates.
-  std::vector<ShipRouting> routings_;
-};
+/// Inserts `slice`'s tuples into its vertex's state as rows of
+/// `preds[slice.rel]` (none when that is -1).
+void InsertSlice(const LayerSlice& slice, const std::vector<int>& preds,
+                 NodeDatabases& nodes);
 
 /// One query's layered evaluation, resumable in layer-sized steps — the
 /// refactor of the old engine-driven LayeredProgram that makes
@@ -211,12 +140,12 @@ class OfflineNodes {
 ///   }
 ///   OfflineRun out = run.Finish();
 ///
-/// Step processes exactly one provenance layer for every vertex the
-/// layer or pending ships touch, in ascending vertex order, and buffers
-/// outgoing ships for the next step — the same schedule the BSP engine
-/// produced (all vertices active, ships delivered at the barrier in
-/// sender order), so results and EvalStats are identical to the
-/// pre-refactor evaluator and to a sequential one-shot run.
+/// Step runs one RunRound over exactly one provenance layer for every
+/// vertex the layer or pending ships touch, and queues outgoing ships for
+/// the next step — the same schedule the BSP engine produced (all
+/// vertices active, ships delivered at the barrier in sender order), so
+/// results and EvalStats are identical to the pre-refactor evaluator and
+/// to a sequential one-shot run.
 class LayeredQueryRun {
  public:
   /// `adjacency` may be shared across concurrent runs only when
@@ -251,12 +180,21 @@ class LayeredQueryRun {
   Result<OfflineRun> Finish(double seconds);
 
  private:
+  using SliceIndex =
+      std::unordered_map<VertexId, std::vector<const LayerSlice*>>;
+
   bool RelMatters(int rel) const;
+  /// Inserts v's slices of `index`.
+  void InsertSlices(const SliceIndex& index, VertexId v);
 
   const Graph* graph_;
   const ProvenanceStore* store_;
   const AnalyzedQuery* query_;
-  OfflineNodes core_;
+  std::vector<int> preds_;  ///< per store relation, see StorePredicates
+  NodeDatabases nodes_;
+  ShipExchange ships_;
+  AdjacencyCache* adjacency_;
+  std::unique_ptr<AdjacencyCache> owned_adjacency_;
   bool descending_ = false;
   int total_steps_ = 0;
   int processing_step_ = 0;
@@ -264,9 +202,7 @@ class LayeredQueryRun {
   int send_rel_ = -1, receive_rel_ = -1;
   std::vector<int> needed_rels_;
 
-  std::unordered_map<VertexId, std::vector<const LayerSlice*>> static_index_;
-  /// Step 0's facts of one vertex (static segment, then the layer).
-  std::vector<const LayerSlice*> facts_;
+  SliceIndex static_index_;
 
   size_t peak_layer_bytes_ = 0;
 };

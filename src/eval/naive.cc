@@ -22,27 +22,29 @@ Result<OfflineRun> NaiveEvaluator::Run() {
   // all of its layers' facts, and ships fan out along the message edges
   // recorded over every superstep (no layer ordering). Routing follows
   // the recorded edges even when the query does not read them.
-  OfflineNodes core(graph_, store_, query_, /*adjacency=*/nullptr);
+  const std::vector<int> preds = StorePredicates(*store_, *query_);
+  NodeDatabases nodes(query_, graph_);
+  ShipExchange ships(query_, graph_);
+  AdjacencyCache adjacency(graph_);
   ShipRoutes routes(store_->RelId("send-message"),
                     store_->RelId("receive-message"));
   auto load = [&](const Layer& layer) {
     for (const auto& slice : layer.slices) {
       routes.Add(slice);
-      core.InsertSlice(slice);
+      InsertSlice(slice, preds, nodes);
     }
   };
   load(store_->static_data());
   for (int step = 0; step < num_layers; ++step) {
-    // GetLayerRelations (not GetLayer) keeps the store const: the
-    // returned shared_ptr owns the decoded layer until `load` copied
-    // its tuples out, without touching the store's loaded-layer slot.
+    // The shared_ptr owns the decoded layer until `load` copied its
+    // tuples out.
     ARIADNE_ASSIGN_OR_RETURN(std::shared_ptr<const Layer> layer,
                              store_->GetLayerRelations(step, {}));
     load(*layer);
   }
   routes.Seal();
   // Nothing is derived yet, so this merge only sums the loaded bytes.
-  const size_t loaded_bytes = core.nodes().Merge().state_bytes;
+  const size_t loaded_bytes = nodes.Merge().state_bytes;
 
   // Rounds: every vertex, ascending, ships delivered at the barrier in
   // sender order; strata synchronize globally (negation may only read a
@@ -56,14 +58,21 @@ Result<OfflineRun> NaiveEvaluator::Run() {
   Superstep rounds = 0;
   std::vector<VertexId> all(static_cast<size_t>(n));
   for (VertexId v = 0; v < n; ++v) all[static_cast<size_t>(v)] = v;
+  Round round;
+  round.active = all;
+  round.targets = [&](VertexId v, ShipRouting routing) {
+    return routes.Targets(v, routing, adjacency);
+  };
   for (;;) {
-    core.Barrier();
-    const bool progress = core.Round(all, {}, routes, stratum);
+    ships.Barrier();
+    round.max_stratum = stratum;
+    const bool progress = RunRound(nodes, ships, round);
     ++rounds;
     ++stratum_rounds;
-    ARIADNE_RETURN_NOT_OK(core.nodes().status());
-    ARIADNE_RETURN_NOT_OK(
-        core.BackendStatus("naive round " + std::to_string(rounds - 1)));
+    ARIADNE_RETURN_NOT_OK(nodes.status());
+    ARIADNE_RETURN_NOT_OK(graph_->backend_error().WithContext(
+        "graph backend failed during naive round " +
+        std::to_string(rounds - 1)));
     if (!progress) {
       if (++stratum >= query_->num_strata()) break;
       stratum_rounds = 0;
@@ -77,7 +86,7 @@ Result<OfflineRun> NaiveEvaluator::Run() {
     }
   }
 
-  MergedNodes merged = core.nodes().Merge();
+  MergedNodes merged = nodes.Merge();
   OfflineRun run;
   run.result = std::move(merged.result);
   run.stats.eval = std::move(merged.eval);

@@ -10,9 +10,9 @@ namespace ariadne {
 
 /// The traditional baseline (paper §6.2 "Naive"): materialize the entire
 /// provenance graph — every layer into the query state at once —
-/// and run stratified semi-naive evaluation to fixpoint in rounds over
-/// the shared offline core (eval/layered_step.h), shipping remote tables
-/// along every recorded message edge. Correct for every query class, but
+/// and run stratified semi-naive evaluation to fixpoint in RunRound
+/// rounds (eval/common.h), shipping remote tables along every recorded
+/// message edge. Correct for every query class, but
 /// memory scales with the whole provenance graph — this is the mode that
 /// "was not able to scale beyond the two smallest datasets" in the paper.
 /// A stratum that is still deriving after num_vertices + 2 * num_layers +

@@ -3,8 +3,6 @@
 
 #include <algorithm>
 #include <array>
-#include <atomic>
-#include <memory>
 #include <span>
 #include <utility>
 #include <vector>
@@ -84,9 +82,9 @@ struct OnlineOptions {
 /// ordinary vertex program: the engine is untouched and the analytic is
 /// untouched. Compute runs the analytic and records the activation's
 /// facts; the query evaluates set-at-a-time at the superstep barrier
-/// (MasterCompute, on the engine's workers), one partition of vertices at
-/// a time, and a vertex's shipped rows reach exactly the vertices its
-/// analytic messages reach, one superstep later (Theorem 5.4 ii).
+/// (MasterCompute, on the engine's workers) as one RunRound, and a
+/// vertex's shipped rows reach exactly the vertices its analytic messages
+/// reach, one superstep later (Theorem 5.4 ii).
 ///
 /// The same wrapper implements declarative capture (paper Fig 1a): with a
 /// ProvenanceStore attached, the query's derived tuples are persisted per
@@ -111,7 +109,8 @@ class OnlineProgram final
         query_(query),
         graph_(graph),
         options_(options),
-        nodes_(query, graph) {
+        nodes_(query, graph),
+        ships_(query, graph) {
     value_pred_ = query_->PredId("value");
     vertex_value_now_pred_ = query_->PredId("vertex-value");
     superstep_pred_ = query_->PredId("superstep");
@@ -141,18 +140,10 @@ class OnlineProgram final
     analytic_->RegisterAggregators(registry);
     // Run start: reset wrapper state.
     nodes_.Reset();
+    ships_ = ShipExchange(query_, graph_);
     const size_t n = static_cast<size_t>(graph_->num_vertices());
     last_active_.assign(n, -1);
     activations_.assign(n, Activation{});
-    for (auto& refs : ship_refs_) refs.assign(n, ShipRef{});
-    for (auto& batches : ship_batches_) {
-      batches.assign(nodes_.num_partitions(), ShipBatch{});
-    }
-    partition_step_ = std::make_unique<std::atomic<Superstep>[]>(
-        nodes_.num_partitions());
-    for (size_t p = 0; p < nodes_.num_partitions(); ++p) {
-      partition_step_[p].store(-1, std::memory_order_relaxed);
-    }
     partition_batches_.assign(
         options_.store != nullptr ? nodes_.num_partitions() : 0, {});
     first_error_ = Status::OK();
@@ -481,12 +472,7 @@ class OnlineProgram final
     Value value;
     std::vector<std::pair<VertexId, Value>> received;  ///< (src, payload)
     std::vector<std::pair<VertexId, Value>> sent;      ///< (target, payload)
-  };
-
-  /// Rows a vertex shipped at a barrier: a range of its partition's batch.
-  struct ShipRef {
-    Superstep step = -1;
-    ShipRange range;
+    std::vector<VertexId> targets;  ///< sent's targets, when the query ships
   };
 
   bool FastPath() const {
@@ -494,8 +480,8 @@ class OnlineProgram final
            !options_.disable_fast_capture;
   }
 
-  /// Generic path, compute side: keeps this activation's facts in v's
-  /// slot (touched only by v's own Compute) and flags its partition.
+  /// Compute side: keeps this activation's facts in v's slot (touched
+  /// only by v's own Compute).
   void Record(VertexContext<V, WrappedMessage>& ctx, Adapter& adapter,
               std::span<const WrappedMessage> messages) {
     const VertexId v = ctx.id();
@@ -513,38 +499,52 @@ class OnlineProgram final
           m.src, want_receive ? ValueTraits<M>::ToValue(m.payload) : Value());
     }
     a.sent.clear();
+    a.targets.clear();
     for (const auto& [target, payload] : adapter.sends) {
       a.sent.emplace_back(
           target, want_send ? ValueTraits<M>::ToValue(payload) : Value());
+      if (!ships_.routings().empty()) a.targets.push_back(target);
     }
-    partition_step_[NodeDatabases::PartitionOf(v)].store(
-        a.step, std::memory_order_relaxed);
   }
 
-  /// Barrier side: every partition with an activation this superstep
-  /// evaluates the query once (or, on the fast capture path, projects its
-  /// activations), in parallel on the engine's workers, each writing its
-  /// capture rows into its own batch.
+  /// Barrier side: the vertices active this superstep run one round of
+  /// the query or, on the fast capture path, project their activations.
+  /// Either way the partitions run in parallel on the engine's workers,
+  /// each writing its capture rows into its own batch.
   void EvaluateBarrier(MasterContext& master) {
     const Superstep step = master.superstep;
-    std::vector<size_t> parts;
-    for (size_t p = 0; p < nodes_.num_partitions(); ++p) {
-      if (partition_step_[p].load(std::memory_order_relaxed) == step) {
-        parts.push_back(p);
+    if (FastPath()) {
+      master.pool->ParallelForChunked(
+          nodes_.num_partitions(), 1,
+          [&](size_t /*worker*/, size_t /*chunk*/, size_t begin, size_t end) {
+            for (size_t p = begin; p < end; ++p) ProjectPartition(p, step);
+          });
+      return;
+    }
+    active_.clear();
+    for (VertexId v = 0; v < graph_->num_vertices(); ++v) {
+      if (activations_[static_cast<size_t>(v)].step == step) {
+        active_.push_back(v);
       }
     }
-    const bool fast = FastPath();
-    auto run = [&](size_t /*worker*/, size_t /*chunk*/, size_t begin,
-                   size_t end) {
-      for (size_t i = begin; i < end; ++i) {
-        if (fast) {
-          ProjectPartition(parts[i], step);
-        } else {
-          EvaluatePartition(parts[i], step);
-        }
+    // Ships follow the analytic's messages (the receive-message guard
+    // means nobody else can reference them).
+    ships_.Barrier();
+    Round round;
+    round.active = active_;
+    round.facts = [&](VertexId v) { InsertFacts(v, step); };
+    round.targets = [&](VertexId v, ShipRouting) {
+      return std::span<const VertexId>(
+          activations_[static_cast<size_t>(v)].targets);
+    };
+    round.on_partition = [&](size_t p, std::span<const VertexId> vertices) {
+      if (options_.store != nullptr) PersistCaptureDeltas(p, step);
+      for (VertexId v : vertices) {
+        nodes_.Retain(v, step, options_.retention_window);
       }
     };
-    master.pool->ParallelForChunked(parts.size(), 1, run);
+    round.pool = master.pool;
+    RunRound(nodes_, ships_, round);
   }
 
   /// Joins the partitions' batches into the layer of `step` and appends
@@ -573,90 +573,48 @@ class OnlineProgram final
     if (!s.ok()) HandleAppendFailure(step, s);
   }
 
-  /// One partition's share of a barrier, in the per-vertex order of the
-  /// paper's wrapper: each active vertex receives its senders' shipped
-  /// rows (one copy per message) and this step's EDB facts, the partition
-  /// evaluates, then each vertex that sent ships its new rows, persists
-  /// its capture deltas and schedules retention.
-  void EvaluatePartition(size_t p, Superstep step) {
-    const VertexId base = static_cast<VertexId>(p) * kPartitionVertices;
-    const VertexId end =
-        std::min<VertexId>(base + kPartitionVertices, graph_->num_vertices());
-    const bool shipping = !query_->shipped_preds().empty();
-    const auto& arrived = ship_batches_[(step + 1) & 1];
-    const auto& arrived_refs = ship_refs_[(step + 1) & 1];
+  /// v's facts of its activation at `step`. Transient views describe only
+  /// the current superstep, so they are cleared first. The superstep
+  /// relation is also current-activation-only during online evaluation:
+  /// past activations are reachable via evolution and the step columns of
+  /// value/send-message/receive-message (catalog.h).
+  void InsertFacts(VertexId v, Superstep step) {
+    const Activation& a = activations_[static_cast<size_t>(v)];
+    const Value loc(static_cast<int64_t>(v));
     const Value step_v(static_cast<int64_t>(step));
-    for (VertexId v = base; v < end; ++v) {
-      const Activation& a = activations_[static_cast<size_t>(v)];
-      if (a.step != step) continue;
-      nodes_.Activate(v);
-      const Value loc(static_cast<int64_t>(v));
-      // Transient views describe only the current superstep. The
-      // superstep relation is also current-activation-only during online
-      // evaluation: past activations are reachable via evolution and the
-      // step columns of value/send-message/receive-message (catalog.h).
-      for (int pred : {vertex_value_now_pred_, send_now_pred_,
-                       receive_now_pred_, superstep_pred_}) {
-        if (pred >= 0) nodes_.ClearHolder(v, pred);
+    for (int pred : {vertex_value_now_pred_, send_now_pred_,
+                     receive_now_pred_, superstep_pred_}) {
+      if (pred >= 0) nodes_.ClearHolder(v, pred);
+    }
+    for (const auto& [src, payload] : a.received) {
+      const Value from(static_cast<int64_t>(src));
+      if (receive_pred_ >= 0) {
+        nodes_.Insert(v, receive_pred_, {loc, from, payload, step_v});
       }
-      for (const auto& [src, payload] : a.received) {
-        if (shipping) {
-          const ShipRef& ref = arrived_refs[static_cast<size_t>(src)];
-          if (ref.step == step - 1 && !ref.range.empty()) {
-            nodes_.InsertShips(v, arrived[NodeDatabases::PartitionOf(src)],
-                               ref.range);
-          }
-        }
-        const Value from(static_cast<int64_t>(src));
-        if (receive_pred_ >= 0) {
-          nodes_.Insert(v, receive_pred_, {loc, from, payload, step_v});
-        }
-        if (receive_now_pred_ >= 0) {
-          nodes_.Insert(v, receive_now_pred_, {loc, from, payload});
-        }
-      }
-      if (value_pred_ >= 0) {
-        nodes_.Insert(v, value_pred_, {loc, a.value, step_v});
-      }
-      if (vertex_value_now_pred_ >= 0) {
-        nodes_.Insert(v, vertex_value_now_pred_, {loc, a.value});
-      }
-      if (superstep_pred_ >= 0) nodes_.Insert(v, superstep_pred_, {loc, step_v});
-      if (evolution_pred_ >= 0 && a.prev >= 0) {
-        nodes_.Insert(v, evolution_pred_,
-                      {loc, Value(static_cast<int64_t>(a.prev)), step_v});
-      }
-      for (const auto& [target, payload] : a.sent) {
-        const Value to(static_cast<int64_t>(target));
-        if (send_pred_ >= 0) {
-          nodes_.Insert(v, send_pred_, {loc, to, payload, step_v});
-        }
-        if (send_now_pred_ >= 0) {
-          nodes_.Insert(v, send_now_pred_, {loc, to, payload});
-        }
+      if (receive_now_pred_ >= 0) {
+        nodes_.Insert(v, receive_now_pred_, {loc, from, payload});
       }
     }
-
-    // Stratified fixpoint over the partition (errors are kept by nodes_
-    // and reported through status()).
-    (void)nodes_.EvaluatePartition(p);
-
-    const std::vector<VertexId> active = nodes_.ActiveVertices(p);
-    if (shipping) {
-      // Ship deltas leave only when the analytic actually sends (the
-      // receive-message guard means nobody can reference them otherwise).
-      ShipBatch& batch = ship_batches_[step & 1][p];
-      batch.Clear();
-      auto& refs = ship_refs_[step & 1];
-      for (VertexId v : active) {
-        if (activations_[static_cast<size_t>(v)].sent.empty()) continue;
-        refs[static_cast<size_t>(v)] =
-            ShipRef{step, nodes_.CollectShips(v, std::nullopt, &batch)};
+    if (value_pred_ >= 0) {
+      nodes_.Insert(v, value_pred_, {loc, a.value, step_v});
+    }
+    if (vertex_value_now_pred_ >= 0) {
+      nodes_.Insert(v, vertex_value_now_pred_, {loc, a.value});
+    }
+    if (superstep_pred_ >= 0) nodes_.Insert(v, superstep_pred_, {loc, step_v});
+    if (evolution_pred_ >= 0 && a.prev >= 0) {
+      nodes_.Insert(v, evolution_pred_,
+                    {loc, Value(static_cast<int64_t>(a.prev)), step_v});
+    }
+    for (const auto& [target, payload] : a.sent) {
+      const Value to(static_cast<int64_t>(target));
+      if (send_pred_ >= 0) {
+        nodes_.Insert(v, send_pred_, {loc, to, payload, step_v});
+      }
+      if (send_now_pred_ >= 0) {
+        nodes_.Insert(v, send_now_pred_, {loc, to, payload});
       }
     }
-    if (options_.store != nullptr) PersistCaptureDeltas(p, step);
-    for (VertexId v : active) nodes_.Retain(v, step, options_.retention_window);
-    nodes_.EndRound(p);
   }
 
   /// Writes partition p's newly derived output rows located at their
@@ -823,6 +781,7 @@ class OnlineProgram final
   const Graph* graph_;
   OnlineOptions options_;
   NodeDatabases nodes_;
+  ShipExchange ships_;
 
   int value_pred_ = -1, vertex_value_now_pred_ = -1;
   int superstep_pred_ = -1, evolution_pred_ = -1;
@@ -830,14 +789,10 @@ class OnlineProgram final
   int receive_pred_ = -1, receive_now_pred_ = -1;
 
   std::vector<Superstep> last_active_;
-  /// Generic path: per vertex, its latest activation; per partition, the
-  /// latest superstep with an activation (set by any of its vertices).
+  /// Per vertex, its latest activation.
   std::vector<Activation> activations_;
-  std::unique_ptr<std::atomic<Superstep>[]> partition_step_;
-  /// Double-buffered by superstep parity: the barrier of step s fills
-  /// index s & 1 while reading the rows shipped at step s - 1.
-  std::vector<ShipBatch> ship_batches_[2];  ///< per partition
-  std::vector<ShipRef> ship_refs_[2];       ///< per vertex
+  /// The vertices active at the current barrier, ascending.
+  std::vector<VertexId> active_;
   /// Capture rows of the current barrier, per partition (capacity is
   /// kept across supersteps).
   std::vector<storage::CaptureBatch> partition_batches_;

@@ -76,13 +76,6 @@ Status ProvenanceStore::AppendLayer(Layer layer) {
 
 Status ProvenanceStore::Flush() { return layers_->Drain(); }
 
-Result<const Layer*> ProvenanceStore::GetLayer(int step) {
-  auto layer = layers_->Read(step);
-  if (!layer.ok()) return layer.status();
-  loaded_ = std::move(layer).value();
-  return loaded_.get();
-}
-
 Result<std::shared_ptr<const Layer>> ProvenanceStore::GetLayerRelations(
     int step, const std::vector<int>& rels) const {
   return layers_->ReadRelations(step, rels);

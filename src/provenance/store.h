@@ -77,18 +77,12 @@ class ProvenanceStore {
   int num_layers() const { return layers_->num_layers(); }
 
   /// The layer for superstep `step`, loading it from spill if necessary.
-  /// The returned pointer is valid until the next GetLayer/AppendLayer.
-  /// NOT safe for concurrent callers (the pointer is kept alive by a
-  /// store member); concurrent readers use GetLayerRelations instead.
-  Result<const Layer*> GetLayer(int step);
-
-  /// Like GetLayer, but only the relations in `rels` are materialized
-  /// (empty = all) — pages of other relations are never read or decoded.
-  /// May return a relation superset when the full layer is already in
-  /// memory. The shared_ptr keeps the data alive independently of the
-  /// store's eviction decisions. Const and thread-safe: any number of
-  /// concurrent readers (the serve scheduler's queries) may call this on
-  /// one store.
+  /// Only the relations in `rels` are materialized (empty = all) — pages
+  /// of other relations are never read or decoded. May return a relation
+  /// superset when the full layer is already in memory. The shared_ptr
+  /// keeps the data alive independently of the store's eviction
+  /// decisions. Const and thread-safe: any number of concurrent readers
+  /// (the serve scheduler's queries) may call this on one store.
   Result<std::shared_ptr<const Layer>> GetLayerRelations(
       int step, const std::vector<int>& rels) const;
 
@@ -154,9 +148,6 @@ class ProvenanceStore {
   /// unique_ptr keeps ProvenanceStore movable: background flush tasks
   /// hold a LayerStore `this`, which therefore must not move.
   std::unique_ptr<storage::LayerStore> layers_;
-  /// Keeps the layer returned by the last GetLayer alive (the raw-pointer
-  /// contract above), independent of store eviction.
-  std::shared_ptr<const Layer> loaded_;
   /// Degraded-capture metadata; degraded_at_ < 0 means a complete capture.
   Superstep degraded_at_ = -1;
   std::vector<int> surviving_rels_;

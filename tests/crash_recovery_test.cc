@@ -152,7 +152,7 @@ TEST_F(CrashRecoveryTest, ResumeAcrossThreadCountsIsByteIdentical) {
   auto reference = RunCapture(reference_program, 1, 0, false);
   ASSERT_TRUE(reference.ok()) << reference.status().ToString();
 
-  for (const auto [crash_threads, resume_threads] :
+  for (const auto& [crash_threads, resume_threads] :
        {std::pair<size_t, size_t>{1, 4}, std::pair<size_t, size_t>{4, 1}}) {
     SCOPED_TRACE("crash_threads=" + std::to_string(crash_threads) +
                  " resume_threads=" + std::to_string(resume_threads));

@@ -119,11 +119,12 @@ class ThreadSweepTest : public testing::TestWithParam<size_t> {};
 TEST_P(ThreadSweepTest, SsspIdenticalAcrossThreadCounts) {
   auto g = GenerateRmat({.scale = 8, .avg_degree = 6, .seed = 77});
   ASSERT_TRUE(g.ok());
-  Engine<double, double> reference_engine(&*g, EngineOptions{.num_threads = 1});
+  EngineOptions options;
+  options.num_threads = 1;
+  Engine<double, double> reference_engine(&*g, options);
   SsspProgram reference(0);
   ASSERT_TRUE(reference_engine.Run(reference).ok());
 
-  EngineOptions options;
   options.num_threads = GetParam();
   Engine<double, double> engine(&*g, options);
   SsspProgram program(0);

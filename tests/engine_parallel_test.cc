@@ -191,23 +191,19 @@ TEST(CombineStatsTest, SenderAndOwnerCombiningBothHit) {
   auto g = GenerateCycle(64);
   ASSERT_TRUE(g.ok());
   const int64_t expected = 64 * 63 / 2;
-  for (bool sender_side : {true, false}) {
-    EngineOptions options;
-    options.num_threads = 4;
-    options.chunk_size = 8;  // 8 chunks: forces cross-chunk owner combining
-    options.sender_side_combining = sender_side;
-    Engine<int64_t, int64_t> engine(&*g, options);
-    FanInProgram program;
-    auto stats = engine.Run(program);
-    ASSERT_TRUE(stats.ok());
-    EXPECT_EQ(engine.value(0), expected) << "sender_side=" << sender_side;
-    EXPECT_EQ(program.max_inbox(), 1u);
-    // All 64 vertices send (vertex 0 includes itself); 64 messages fold
-    // into 1 delivered message: 63 combine hits, split between the sender
-    // side and the owner merge (or all on the owner merge when
-    // sender-side combining is off).
-    EXPECT_EQ(stats->combine_hits, 63);
-  }
+  EngineOptions options;
+  options.num_threads = 4;
+  options.chunk_size = 8;  // 8 chunks: forces cross-chunk owner combining
+  Engine<int64_t, int64_t> engine(&*g, options);
+  FanInProgram program;
+  auto stats = engine.Run(program);
+  ASSERT_TRUE(stats.ok());
+  EXPECT_EQ(engine.value(0), expected);
+  EXPECT_EQ(program.max_inbox(), 1u);
+  // All 64 vertices send (vertex 0 includes itself); 64 messages fold
+  // into 1 delivered message: 63 combine hits, split between the sender
+  // side (within each chunk) and the owner merge (across the 8 chunks).
+  EXPECT_EQ(stats->combine_hits, 63);
 }
 
 // ------------------------------------------- provenance byte determinism
@@ -225,7 +221,7 @@ std::string CaptureBytes(const Graph& g, size_t threads) {
   BinaryWriter writer;
   SerializeLayer(store.static_data(), writer);
   for (int i = 0; i < store.num_layers(); ++i) {
-    auto layer = store.GetLayer(i);
+    auto layer = store.GetLayerRelations(i, {});
     ARIADNE_CHECK(layer.ok());
     SerializeLayer(**layer, writer);
   }

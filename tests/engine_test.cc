@@ -210,10 +210,13 @@ TEST(EngineTest, AggregatorsVisibleNextSuperstepAndMasterHalts) {
 TEST(EngineTest, ParallelMatchesSequential) {
   auto g = GenerateErdosRenyi(200, 1000, 17);
   ASSERT_TRUE(g.ok());
-  Engine<int64_t, int64_t> seq(&*g, EngineOptions{.num_threads = 1});
+  EngineOptions options;
+  options.num_threads = 1;
+  Engine<int64_t, int64_t> seq(&*g, options);
   MinPropagateProgram p1;
   ASSERT_TRUE(seq.Run(p1).ok());
-  Engine<int64_t, int64_t> par(&*g, EngineOptions{.num_threads = 4});
+  options.num_threads = 4;
+  Engine<int64_t, int64_t> par(&*g, options);
   MinPropagateProgram p2;
   ASSERT_TRUE(par.Run(p2).ok());
   for (VertexId v = 0; v < g->num_vertices(); ++v) {

@@ -66,16 +66,17 @@ TEST(ShipDeltaTest, OnlySelfLocatedTuplesShip) {
   nodes.Insert(5, q_pred, {Value(int64_t{9}), Value(int64_t{0})});
 
   ShipBatch batch;
-  ShipRange range = nodes.CollectShips(/*v=*/5, std::nullopt, &batch);
+  const ShipRouting routing = query->pred(q_pred).routing;
+  ShipRange range = nodes.CollectShips(/*v=*/5, routing, &batch);
   ASSERT_EQ(range.end - range.begin, 1u);
   EXPECT_EQ(batch.rows[range.begin].pred, q_pred);
   EXPECT_EQ(batch.values[batch.rows[range.begin].begin], Value(int64_t{5}));
 
   // Watermark advanced: nothing new to ship.
-  EXPECT_TRUE(nodes.CollectShips(5, std::nullopt, &batch).empty());
+  EXPECT_TRUE(nodes.CollectShips(5, routing, &batch).empty());
   // New local tuple ships; the foreign one stays filtered forever.
   nodes.Insert(5, q_pred, {Value(int64_t{5}), Value(int64_t{1})});
-  range = nodes.CollectShips(5, std::nullopt, &batch);
+  range = nodes.CollectShips(5, routing, &batch);
   EXPECT_EQ(range.end - range.begin, 1u);
 }
 

@@ -247,7 +247,7 @@ TEST_F(DegradedCaptureTest, ForwardLineageKeepsTheSkeleton) {
   // ...and keeps being captured: one layer per superstep, with only
   // skeleton slices after the degradation point.
   EXPECT_EQ(store.num_layers(), stats->supersteps);
-  auto last = store.GetLayer(store.num_layers() - 1);
+  auto last = store.GetLayerRelations(store.num_layers() - 1, {});
   ASSERT_TRUE(last.ok()) << last.status().ToString();
   for (const auto& slice : (*last)->slices) {
     const std::string& name =

@@ -29,12 +29,6 @@ namespace {
 constexpr char kFixtureDir[] = ARIADNE_SOURCE_DIR "/tests/data/lint";
 constexpr char kExamplesDir[] = ARIADNE_SOURCE_DIR "/examples/pql";
 
-std::vector<std::string> Codes(const DiagnosticSink& sink) {
-  std::vector<std::string> codes;
-  for (const Diagnostic& d : sink.diagnostics()) codes.push_back(d.code);
-  return codes;
-}
-
 bool HasCode(const DiagnosticSink& sink, const std::string& code) {
   for (const Diagnostic& d : sink.diagnostics()) {
     if (d.code == code) return true;

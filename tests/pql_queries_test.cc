@@ -102,7 +102,9 @@ TEST(PaperQueryShipRouting, ForwardShipsRideMessagesBackwardReversed) {
                   bool offline) {
     auto program = ParseProgram(text);
     ASSERT_TRUE(program.ok());
-    if (!params.empty()) ASSERT_TRUE(program->BindParameters(params).ok());
+    if (!params.empty()) {
+      ASSERT_TRUE(program->BindParameters(params).ok());
+    }
     StoreSchema schema;
     schema.relations = {{"prov-value", 3}, {"prov-send", 2},
                         {"prov-edges", 2}, {"value", 3},

@@ -143,7 +143,7 @@ TEST_P(ModeEquivalenceTest, AptAgreesAcrossOnlineLayeredNaive) {
   auto naive = session.RunOffline(&store, *apt_offline, EvalMode::kNaive);
   ASSERT_TRUE(naive.ok()) << naive.status().ToString();
 
-  for (const std::string& table :
+  for (const char* table :
        {"change", "neighbor-change", "no-execute", "safe", "unsafe"}) {
     EXPECT_EQ(TableStrings(online, table),
               TableStrings(layered->result, table))
@@ -193,6 +193,43 @@ TEST_P(ModeEquivalenceTest, ForwardLineageAgreesOnlineAndLayered) {
   const std::vector<std::string> rows = TableStrings(online, "fwd-lineage");
   EXPECT_FALSE(rows.empty());
   EXPECT_EQ(rows, TableStrings(layered->result, "fwd-lineage"));
+}
+
+// A forward query whose remote atom reads an EDB: the sender ships its
+// own value rows, which the receiver holds next to its own value facts.
+TEST_P(ModeEquivalenceTest, RemoteEdbAtomAgreesOnlineAndLayered) {
+  const auto [analytic, graph_kind, seed] = GetParam();
+  auto graph = MakeGraph(graph_kind, seed);
+  ASSERT_TRUE(graph.ok());
+  Session session(&*graph);
+  const std::string text =
+      "r(x, d, i) <- receive-message(x, y, _m, i), value(y, d, j), "
+      "j = i - 1.";
+
+  auto r_online = session.PrepareOnline(text);
+  ASSERT_TRUE(r_online.ok()) << r_online.status().ToString();
+  QueryResult online;
+  ASSERT_TRUE(WithAnalytic(analytic, [&](auto& program) -> Status {
+                auto run = session.RunOnline(program, *r_online);
+                if (!run.ok()) return run.status();
+                online = std::move(run->query_result);
+                return Status::OK();
+              }).ok());
+
+  ProvenanceStore store;
+  auto capture = session.PrepareOnline(queries::CaptureFull());
+  ASSERT_TRUE(capture.ok());
+  ASSERT_TRUE(WithAnalytic(analytic, [&](auto& program) -> Status {
+                return session.Capture(program, *capture, &store).status();
+              }).ok());
+  auto r_offline = session.PrepareOffline(text, store);
+  ASSERT_TRUE(r_offline.ok()) << r_offline.status().ToString();
+  auto layered = session.RunOffline(&store, *r_offline, EvalMode::kLayered);
+  ASSERT_TRUE(layered.ok()) << layered.status().ToString();
+
+  const std::vector<std::string> rows = TableStrings(online, "r");
+  EXPECT_FALSE(rows.empty());
+  EXPECT_EQ(rows, TableStrings(layered->result, "r"));
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -297,7 +334,7 @@ TEST_P(CaptureCompletenessTest, StoreAccountsForEveryEventTheEngineSaw) {
     const int rel = store.RelId(name);
     int64_t n = 0;
     for (int s = 0; s < store.num_layers(); ++s) {
-      const Layer* layer = *store.GetLayer(s);
+      const auto layer = *store.GetLayerRelations(s, {});
       for (const auto& slice : layer->slices) {
         if (slice.rel == rel) n += static_cast<int64_t>(slice.tuples.size());
       }
@@ -326,7 +363,7 @@ TEST_P(CaptureCompletenessTest, StoreAccountsForEveryEventTheEngineSaw) {
   std::set<VertexId> active_vertices;
   const int superstep_rel = store.RelId("superstep");
   for (int s = 0; s < store.num_layers(); ++s) {
-    const Layer* layer = *store.GetLayer(s);
+    const auto layer = *store.GetLayerRelations(s, {});
     for (const auto& slice : layer->slices) {
       if (slice.rel == superstep_rel) active_vertices.insert(slice.vertex);
     }
@@ -366,7 +403,7 @@ TEST_P(RetentionTest, WindowedAptMatchesUnlimited) {
   PageRankProgram windowed_program({.iterations = 6});
   auto windowed = session.RunOnline(windowed_program, *apt, window);
   ASSERT_TRUE(windowed.ok());
-  for (const std::string& table : {"no-execute", "safe", "unsafe"}) {
+  for (const char* table : {"no-execute", "safe", "unsafe"}) {
     EXPECT_EQ(TableStrings(unlimited->query_result, table),
               TableStrings(windowed->query_result, table))
         << table << " window=" << window;
@@ -423,7 +460,7 @@ TEST_P(StoreRoundTripTest, SaveLoadAndSpillPreserveRandomContents) {
   auto dump = [](ProvenanceStore& s) {
     std::vector<std::string> out;
     for (int i = 0; i < s.num_layers(); ++i) {
-      const Layer* layer = *s.GetLayer(i);
+      const auto layer = *s.GetLayerRelations(i, {});
       for (const auto& slice : layer->slices) {
         for (const Tuple& t : slice.tuples) {
           out.push_back(std::to_string(slice.rel) + "@" +
@@ -506,7 +543,7 @@ TEST_P(BackwardTraceTest, TraceEqualsReverseReachabilityOverSends) {
   VertexId alpha = -1;
   Superstep sigma = store.num_layers() - 1;
   {
-    const Layer* last = *store.GetLayer(sigma);
+    const auto last = *store.GetLayerRelations(sigma, {});
     for (const auto& slice : last->slices) {
       if (slice.rel == superstep_rel) {
         alpha = slice.vertex;
@@ -533,7 +570,7 @@ TEST_P(BackwardTraceTest, TraceEqualsReverseReachabilityOverSends) {
   // send records grouped per receive step: sent at i, received at i+1.
   std::map<Superstep, std::vector<std::pair<VertexId, VertexId>>> sends;
   for (int s = 0; s < store.num_layers(); ++s) {
-    const Layer* layer = *store.GetLayer(s);
+    const auto layer = *store.GetLayerRelations(s, {});
     for (const auto& slice : layer->slices) {
       if (slice.rel != send_rel) continue;
       for (const Tuple& t : slice.tuples) {

@@ -43,10 +43,10 @@ TEST(ProvenanceStoreTest, LayersAppendInOrder) {
   EXPECT_EQ(store.num_layers(), 2);
   EXPECT_EQ(store.TotalTuples(), 5);
   EXPECT_GT(store.TotalBytes(), 0u);
-  auto layer = store.GetLayer(1);
+  auto layer = store.GetLayerRelations(1, {});
   ASSERT_TRUE(layer.ok());
   EXPECT_EQ((*layer)->step, 1);
-  EXPECT_FALSE(store.GetLayer(7).ok());
+  EXPECT_FALSE(store.GetLayerRelations(7, {}).ok());
 }
 
 TEST(ProvenanceStoreTest, EmptyTupleSetsAreNotStored) {
@@ -84,7 +84,7 @@ TEST(ProvenanceStoreTest, SpillAndReload) {
   EXPECT_LT(store.InMemoryBytes(), total);
   EXPECT_EQ(store.TotalBytes(), total);  // logical size unchanged
   // Reload a spilled layer; contents identical.
-  auto layer = store.GetLayer(0);
+  auto layer = store.GetLayerRelations(0, {});
   ASSERT_TRUE(layer.ok()) << layer.status().ToString();
   ASSERT_EQ((*layer)->slices.size(), 1u);
   EXPECT_EQ((*layer)->slices[0].tuples.size(), 50u);
@@ -102,7 +102,7 @@ TEST(ProvenanceStoreTest, SpillDuringAppend) {
   ASSERT_TRUE(store.Flush().ok());
   EXPECT_GE(store.SpilledLayerCount(), 3);
   for (int s = 0; s < 4; ++s) {
-    auto layer = store.GetLayer(s);
+    auto layer = store.GetLayerRelations(s, {});
     ASSERT_TRUE(layer.ok());
     EXPECT_EQ((*layer)->slices[0].tuples.size(), 20u);
   }

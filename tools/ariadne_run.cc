@@ -13,7 +13,7 @@
 //   ariadne_run --analytic pagerank --query apt --param eps=0.01
 //
 //   # capture full provenance of SSSP over an edge-list file
-//   ariadne_run --analytic sssp --graph web.el --query capture-full \
+//   ariadne_run --analytic sssp --graph web.el --query capture-full
 //               --mode capture --store-out web.prov
 
 #include <cstdio>
