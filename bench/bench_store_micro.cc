@@ -62,11 +62,11 @@ void BM_DecodePages(benchmark::State& state) {
   const storage::CaptureBatch batch = SyntheticBatch(3, 2000);
   const auto pages = storage::EncodeBatch(batch, storage::kDefaultPageSize);
   for (auto _ : state) {
-    Layer decoded;
+    storage::CaptureBatch decoded;
     for (const auto& page : pages) {
       ARIADNE_CHECK(storage::DecodePage(page, &decoded).ok());
     }
-    benchmark::DoNotOptimize(decoded.slices.size());
+    benchmark::DoNotOptimize(decoded.slices().size());
   }
   state.SetBytesProcessed(state.iterations() *
                           static_cast<int64_t>(batch.byte_size()));
@@ -114,10 +114,9 @@ int RunStoreSweep(const std::string& json_path) {
   // into a fresh spilling store.
   std::vector<std::shared_ptr<const storage::CaptureBatch>> layers;
   for (int s = 0; s < n_layers; ++s) {
-    auto layer = reference.GetLayerRelations(s, {});
+    auto layer = reference.GetLayerBatch(s, {});
     ARIADNE_CHECK(layer.ok());
-    layers.push_back(std::make_shared<const storage::CaptureBatch>(
-        storage::CaptureBatch::FromLayer(**layer)));
+    layers.push_back(*layer);
   }
   storage::StorageStats flush_stats;
   const double append_seconds = bench::TimedSeconds([&] {

@@ -18,6 +18,14 @@ class WallTimer {
 
   double ElapsedMillis() const { return ElapsedSeconds() * 1e3; }
 
+  /// Seconds since the start or the previous Lap; restarts the watch.
+  double Lap() {
+    const Clock::time_point now = Clock::now();
+    const double seconds = std::chrono::duration<double>(now - start_).count();
+    start_ = now;
+    return seconds;
+  }
+
  private:
   using Clock = std::chrono::steady_clock;
   Clock::time_point start_;

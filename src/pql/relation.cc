@@ -89,6 +89,27 @@ uint32_t KeyHash(Holder holder, ColumnSet cols, HashOf hash_of) {
 
 }  // namespace
 
+size_t CellRow::Hash(size_t col) const {
+  const Cell& c = cell(col);
+  size_t seed = KindSeed(c.tag);
+  switch (c.tag) {
+    case Value::Kind::kNull:
+      return HashCombine(seed, 0);
+    case Value::Kind::kInt:
+      return HashCombine(seed, std::hash<int64_t>()(c.i));
+    case Value::Kind::kDouble:
+      return HashCombine(seed, std::hash<double>()(c.d));
+    case Value::Kind::kString:
+      return HashCombine(seed, std::hash<std::string_view>()(AsString(col)));
+    case Value::Kind::kDoubleVector:
+      for (double d : AsDoubleVector(col)) {
+        seed = HashCombine(seed, std::hash<double>()(d));
+      }
+      return seed;
+  }
+  return seed;
+}
+
 size_t TupleHash::operator()(const Tuple& t) const {
   size_t seed = t.size();
   for (const Value& v : t) seed = HashCombine(seed, v.Hash());
@@ -172,7 +193,8 @@ bool Relation::CellEquals(const Cell& c, const Row& row, size_t col) const {
     case Value::Kind::kString:
       return strings_->items[c.ref] == row.AsString(col);
     case Value::Kind::kDoubleVector:
-      return vectors_->items[c.ref] == row.AsDoubleVector(col);
+      return std::ranges::equal(vectors_->items[c.ref],
+                                row.AsDoubleVector(col));
   }
   return false;
 }
@@ -220,29 +242,29 @@ size_t Relation::RowByteSize(size_t i) const {
   return bytes;
 }
 
-uint32_t Relation::InternString(const std::string& s) {
+uint32_t Relation::InternString(std::string_view s) {
   if (strings_ == nullptr) strings_ = std::make_unique<StringPool>();
   StringPool& pool = *strings_;
-  auto it = pool.ids.find(std::string_view(s));
+  auto it = pool.ids.find(s);
   if (it != pool.ids.end()) return it->second;
   const uint32_t id = static_cast<uint32_t>(pool.items.size());
-  pool.items.push_back(s);
+  pool.items.emplace_back(s);
   pool.hashes.push_back(std::hash<std::string>()(pool.items.back()));
   pool.ids.emplace(std::string_view(pool.items.back()), id);
   return id;
 }
 
-uint32_t Relation::InternDoubleVector(const std::vector<double>& v) {
+uint32_t Relation::InternDoubleVector(std::span<const double> v) {
   if (vectors_ == nullptr) vectors_ = std::make_unique<VectorPool>();
   VectorPool& pool = *vectors_;
   size_t h = KindSeed(Value::Kind::kDoubleVector);
   for (double d : v) h = HashCombine(h, std::hash<double>()(d));
   auto& candidates = pool.ids[h];
   for (uint32_t id : candidates) {
-    if (pool.items[id] == v) return id;
+    if (std::ranges::equal(pool.items[id], v)) return id;
   }
   const uint32_t id = static_cast<uint32_t>(pool.items.size());
-  pool.items.push_back(v);
+  pool.items.emplace_back(v.begin(), v.end());
   pool.hashes.push_back(h);
   candidates.push_back(id);
   return id;
@@ -288,7 +310,7 @@ size_t Relation::FindRowSlot(Holder holder, uint32_t hash,
     if (slot == 0) return pos;
     if (slot == kTombstone) continue;
     const uint32_t id = slot - 1;
-    if (rows_[id].hash != hash || rows_[id].holder != holder) continue;
+    if (hashes_[id] != hash || rows_[id].holder != holder) continue;
     const uint32_t begin = RowBegin(id);
     if (rows_[id].end - begin != row.size()) continue;
     bool equal = true;
@@ -299,10 +321,22 @@ size_t Relation::FindRowSlot(Holder holder, uint32_t hash,
   }
 }
 
-void Relation::GrowDedup() {
+void Relation::GrowDedup() const {
   GrowTable(
       dedup_, [](uint32_t slot) { return slot == 0 || slot == kTombstone; },
-      [this](uint32_t slot) { return rows_[slot - 1].hash; });
+      [this](uint32_t slot) { return hashes_[slot - 1]; });
+}
+
+void Relation::SyncDedup() const {
+  for (; hashed_rows_ < rows_.size(); ++hashed_rows_) {
+    const size_t id = hashed_rows_;
+    hashes_[id] = RowHash(rows_[id].holder, row_view(id));
+    if ((id + 1) * 2 > dedup_.size()) GrowDedup();
+    const size_t mask = dedup_.size() - 1;
+    size_t pos = hashes_[id] & mask;
+    while (dedup_[pos] != 0) pos = (pos + 1) & mask;
+    dedup_[pos] = static_cast<uint32_t>(id) + 1;
+  }
 }
 
 Relation::HolderSlot& Relation::Slot(Holder holder) {
@@ -366,13 +400,23 @@ void Relation::ResetIndexes() {
 
 template <typename Row>
 bool Relation::InsertRow(Holder holder, const Row& row) {
+  SyncDedup();
   const uint32_t hash = RowHash(holder, row);
   if ((rows_.size() + 1) * 2 > dedup_.size()) GrowDedup();
   const size_t pos = FindRowSlot(holder, hash, row);
   if (dedup_[pos] != 0) return false;
+  dedup_[pos] = static_cast<uint32_t>(rows_.size()) + 1;
+  AppendRow(holder, row, hash);
+  hashed_rows_ = rows_.size();
+  return true;
+}
+
+template <typename Row>
+void Relation::AppendRow(Holder holder, const Row& row, uint32_t hash) {
   const uint32_t id = static_cast<uint32_t>(rows_.size());
   EncodeRow(row);
-  rows_.push_back(RowMeta{static_cast<uint32_t>(cells_.size()), hash, holder});
+  rows_.push_back(RowMeta{static_cast<uint32_t>(cells_.size()), holder});
+  hashes_.push_back(hash);
   dead_.push_back(0);
   holder_next_.push_back(kNoRow);
   HolderSlot& slot = Slot(holder);
@@ -385,10 +429,8 @@ bool Relation::InsertRow(Holder holder, const Row& row) {
   ++slot.rows;
   ++slot.live;
   ++slot.version;
-  dedup_[pos] = id + 1;
   byte_size_ += RowByteSize(id);
   ++version_;
-  return true;
 }
 
 bool Relation::HasIndex(ColumnSet cols) const {
@@ -406,8 +448,17 @@ bool Relation::Insert(Holder holder, const RowView& row) {
   return InsertRow(holder, row);
 }
 
+bool Relation::Insert(Holder holder, const CellRow& row) {
+  return InsertRow(holder, row);
+}
+
+void Relation::AppendDistinct(Holder holder, const CellRow& row) {
+  AppendRow(holder, row, 0);  // hashed by the next SyncDedup
+}
+
 bool Relation::Contains(Holder holder, std::span<const Value> t) const {
   if (holder_size(holder) == 0) return false;
+  SyncDedup();
   const ValuesRow row{t};
   return dedup_[FindRowSlot(holder, RowHash(holder, row), row)] != 0;
 }
@@ -463,7 +514,7 @@ Relation::Bucket Relation::HolderRows(Holder holder) const {
 
 void Relation::KillRow(uint32_t i) {
   const size_t mask = dedup_.size() - 1;
-  for (size_t pos = rows_[i].hash & mask;; pos = (pos + 1) & mask) {
+  for (size_t pos = hashes_[i] & mask;; pos = (pos + 1) & mask) {
     if (dedup_[pos] == i + 1) {
       dedup_[pos] = kTombstone;
       break;
@@ -477,6 +528,7 @@ void Relation::KillRow(uint32_t i) {
 
 void Relation::KillHolder(Holder holder) {
   if (holder_size(holder) == 0) return;
+  SyncDedup();
   for (uint32_t row : HolderRows(holder)) {
     if (dead_[row] == 0) KillRow(row);
   }
@@ -486,6 +538,7 @@ void Relation::KillHolder(Holder holder) {
 void Relation::KillHolderIf(Holder holder,
                             const std::function<bool(const RowView&)>& pred) {
   if (holder_size(holder) == 0) return;
+  SyncDedup();
   for (uint32_t row : HolderRows(holder)) {
     if (dead_[row] == 0 && pred(row_view(row))) KillRow(row);
   }
@@ -513,6 +566,7 @@ bool Relation::ReplaceHolder(Holder holder, std::vector<Tuple> tuples) {
   // iteration order is the new row order.
   std::unordered_set<Tuple, TupleHash> incoming(tuples.begin(), tuples.end());
   if (HolderHolds(holder, incoming)) return false;
+  SyncDedup();
   for (uint32_t row : HolderRows(holder)) {
     if (dead_[row] == 0) KillRow(row);
   }
@@ -530,7 +584,7 @@ void Relation::RebuildDedupAndChains() {
   }
   holder_next_.assign(rows_.size(), kNoRow);
   for (size_t id = 0; id < rows_.size(); ++id) {
-    size_t pos = rows_[id].hash & mask;
+    size_t pos = hashes_[id] & mask;
     while (dedup_[pos] != 0) pos = (pos + 1) & mask;
     dedup_[pos] = static_cast<uint32_t>(id) + 1;
     HolderSlot& slot = holders_[rows_[id].holder];
@@ -548,6 +602,7 @@ void Relation::RebuildDedupAndChains() {
 std::vector<uint32_t> Relation::Compact() {
   // Kept rows slide down over dead ones. A row's cells only ever move to
   // lower offsets, so each row is read before anything overwrites it.
+  SyncDedup();
   const size_t n = rows_.size();
   std::vector<uint32_t> remap(n + 1);
   uint32_t kept = 0;
@@ -561,11 +616,14 @@ std::vector<uint32_t> Relation::Compact() {
                 cells_.begin() + out);
     }
     out += end - begin;
-    rows_[kept++] = RowMeta{out, rows_[i].hash, rows_[i].holder};
+    hashes_[kept] = hashes_[i];
+    rows_[kept++] = RowMeta{out, rows_[i].holder};
   }
   remap[n] = kept;
   cells_.resize(out);
   rows_.resize(kept);
+  hashes_.resize(kept);
+  hashed_rows_ = kept;
   dead_.assign(kept, 0);
   dead_rows_ = 0;
   RebuildDedupAndChains();

@@ -38,6 +38,44 @@ std::string TupleToString(const Tuple& t);
 /// global database and a query's merged tables use holder 0 only.
 using Holder = uint32_t;
 
+/// A row of typed cells held outside any Relation: a decoded layer's row
+/// (storage::CaptureBatch). Ints and doubles are inline; strings and
+/// double vectors are `len` chars / doubles at `off` of the owner's
+/// pools. Column `col` is `cells[col * stride]`: a column-major slice
+/// strides by its row count, a row-major one by 1.
+struct CellRow {
+  /// One typed cell, 16 bytes.
+  struct Cell {
+    Value::Kind tag = Value::Kind::kNull;
+    uint32_t len = 0;
+    union {
+      int64_t i = 0;
+      double d;
+      uint64_t off;
+    };
+  };
+
+  const Cell* cells = nullptr;
+  size_t stride = 1;
+  size_t n = 0;
+  const char* chars = nullptr;
+  const double* doubles = nullptr;
+
+  size_t size() const { return n; }
+  const Cell& cell(size_t col) const { return cells[col * stride]; }
+  Value::Kind kind(size_t col) const { return cell(col).tag; }
+  int64_t AsInt(size_t col) const { return cell(col).i; }
+  double AsDouble(size_t col) const { return cell(col).d; }
+  std::string_view AsString(size_t col) const {
+    return {chars + cell(col).off, cell(col).len};
+  }
+  std::span<const double> AsDoubleVector(size_t col) const {
+    return {doubles + cell(col).off, cell(col).len};
+  }
+  /// Value::Hash of column `col`, computed without materializing it.
+  size_t Hash(size_t col) const;
+};
+
 /// A set of a relation's columns, bit c for column c: what an index is
 /// keyed on. Only the first kMaxKeyColumns columns can be keyed.
 using ColumnSet = uint64_t;
@@ -77,6 +115,10 @@ inline constexpr ColumnSet AllColumns(int arity) {
 /// marks them dead in place: row ids and every other holder's delta
 /// watermarks stay valid, and the holder's kill generation tells readers
 /// to rescan it. Compact() drops dead rows and returns the row-id remap.
+///
+/// AppendDistinct adds a row the caller knows to be new without hashing
+/// or probing it; the dedup table catches up on such rows before the
+/// next Insert, Contains, kill or Compact.
 class Relation {
  public:
   /// One flat column cell. 16 bytes; the payload interpretation follows
@@ -209,6 +251,14 @@ class Relation {
   /// Copies a row of another relation (re-interning its payloads).
   bool Insert(Holder holder, const RowView& row);
   bool Insert(const RowView& row) { return Insert(0, row); }
+  /// Inserts a row given as cells (a decoded layer's row).
+  bool Insert(Holder holder, const CellRow& row);
+
+  /// Appends a row of `holder` without looking for a duplicate. The
+  /// caller guarantees that it differs from every row the relation holds
+  /// for `holder`, and that no row appended after it before the next
+  /// Insert equals it.
+  void AppendDistinct(Holder holder, const CellRow& row);
 
   bool Contains(Holder holder, std::span<const Value> t) const;
   bool Contains(std::span<const Value> t) const { return Contains(0, t); }
@@ -297,11 +347,9 @@ class Relation {
   static constexpr uint32_t kTombstone = 0xffffffffu;
 
   /// Per-row bookkeeping: end offset of the row's cells (row i spans
-  /// [RowBegin(i), end)), the row's hash (holder included), computed once
-  /// on insert, and the holder.
+  /// [RowBegin(i), end)) and the holder.
   struct RowMeta {
     uint32_t end;
-    uint32_t hash;
     Holder holder;
   };
 
@@ -353,6 +401,9 @@ class Relation {
 
   template <typename Row>
   bool InsertRow(Holder holder, const Row& row);
+  /// Stores `row` as the next row id of `holder` (no dedup).
+  template <typename Row>
+  void AppendRow(Holder holder, const Row& row, uint32_t hash);
   template <typename Row>
   size_t FindRowSlot(Holder holder, uint32_t hash, const Row& row) const;
   template <typename Row>
@@ -361,7 +412,10 @@ class Relation {
   void EncodeRow(const Row& row);
 
   HolderSlot& Slot(Holder holder);
-  void GrowDedup();
+  void GrowDedup() const;
+  /// Hashes the rows AppendDistinct added since the last call into the
+  /// dedup table. Const because the table is a cache over the rows.
+  void SyncDedup() const;
   /// Adds the next unindexed row to `index`, an index on `cols`.
   void IndexNextRow(ColumnSet cols, ColumnIndex& index);
   void ResetIndexes();
@@ -375,8 +429,8 @@ class Relation {
   /// Re-places every row in the dedup table and rebuilds holder chains.
   void RebuildDedupAndChains();
 
-  uint32_t InternString(const std::string& s);
-  uint32_t InternDoubleVector(const std::vector<double>& v);
+  uint32_t InternString(std::string_view s);
+  uint32_t InternDoubleVector(std::span<const double> v);
 
   Value CellToValue(const Cell& c) const;
   /// Matches Value::Hash of the materialized cell exactly, so rows and
@@ -393,8 +447,13 @@ class Relation {
   std::vector<HolderSlot> holders_;
   /// Per row: the next row of the same holder (HolderRows' chain).
   std::vector<uint32_t> holder_next_;
+  /// Per row: its hash (holder included), computed once on insert or by
+  /// SyncDedup.
+  mutable std::vector<uint32_t> hashes_;
   /// Dedup table: row id + 1 per slot, 0 = empty; power-of-two size.
-  std::vector<uint32_t> dedup_;
+  /// Rows [0, hashed_rows_) are in it.
+  mutable std::vector<uint32_t> dedup_;
+  mutable size_t hashed_rows_ = 0;
   /// One index per probed column set. Boxed: a Bucket points into its
   /// index, and probing a new set must not move the others.
   struct IndexEntry {

@@ -51,10 +51,10 @@ Result<std::shared_ptr<const LayerView>> SharedScanExecutor::Acquire(
   // Fault point sits here, after the cache check: injected failures hit
   // only cold scans, exactly like a real store read error would.
   ARIADNE_RETURN_NOT_OK(recovery::CheckFaultPoint("serve-scan"));
-  ARIADNE_ASSIGN_OR_RETURN(std::shared_ptr<const Layer> layer,
-                           store_->GetLayerRelations(step, build_rels));
+  ARIADNE_ASSIGN_OR_RETURN(std::shared_ptr<const storage::CaptureBatch> batch,
+                           store_->GetLayerBatch(step, build_rels));
   std::shared_ptr<const LayerView> view = BuildLayerView(
-      std::move(layer), step, send_rel_, receive_rel_, std::move(build_rels));
+      std::move(batch), step, send_rel_, receive_rel_, std::move(build_rels));
 
   std::lock_guard<std::mutex> lock(mu_);
   ++stats_.scans;

@@ -25,11 +25,11 @@ struct LayerSlice {
 };
 
 /// One layer of the provenance graph (Definition 5.1): everything captured
-/// during one superstep, in the compact per-vertex representation. This
-/// is the decoded read format: capture writes a storage::CaptureBatch
-/// (storage/capture_batch.h), the page codec (storage/page.h) encodes
-/// batches into fixed-size compressed pages, and reads decode pages or an
-/// unflushed batch into a Layer of whole layers or per-relation subsets.
+/// during one superstep, in the compact per-vertex representation, as
+/// Tuples. Stored layers are storage::CaptureBatch cells
+/// (storage/capture_batch.h) from capture through pages to evaluation; a
+/// Layer is their Tuple form for Tuple readers (CaptureBatch::ToLayer) and
+/// writers (CaptureBatch::FromLayer), and the form of the static segment.
 struct Layer {
   Superstep step = 0;
   std::vector<LayerSlice> slices;

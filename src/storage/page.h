@@ -101,7 +101,7 @@ class ByteReader {
   size_t pos_ = 0;
 };
 
-// ---- Layer <-> pages ----
+// ---- Batches <-> pages ----
 
 /// Encodes `batch` into pages of ~`page_size` payload bytes, walking the
 /// slices in order and starting a new page whenever the relation changes
@@ -114,9 +114,10 @@ std::vector<Page> EncodeBatch(const CaptureBatch& batch, size_t page_size);
 /// EncodeBatch of `layer`'s slices, in layer order.
 std::vector<Page> EncodeLayer(const Layer& layer, size_t page_size);
 
-/// Appends the slices of `page` to `layer` in encoded order, validating
-/// every count against the remaining payload bytes.
-Status DecodePage(const Page& page, Layer* layer);
+/// Appends the slices of `page` to `batch` in encoded order, straight
+/// into its cells, validating every count against the remaining payload
+/// bytes. After an error the batch holds a partial slice: drop it.
+Status DecodePage(const Page& page, CaptureBatch* batch);
 
 // ---- Page wire format ----
 
