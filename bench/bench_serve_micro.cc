@@ -4,8 +4,10 @@
 // Running with `--json out.json` skips google-benchmark and runs the
 // concurrency sweep behind the checked-in BENCH_serve.json: a mixed
 // backward/forward/apt workload (examples/pql + builtins) over one
-// spilled SSSP capture, at 1..256 concurrent queries. Per level it
-// reports aggregate QPS, p50/p95/p99 latency, the shared-scan hit rate,
+// spilled SSSP capture, at 1..256 concurrent queries, with 1 and with 4
+// step threads. Each level runs ARIADNE_BENCH_REPS times (default 1) and
+// reports the run of median serve time, with the median sequential time.
+// Per level it reports aggregate QPS, p50/p95/p99 latency, the shared-scan hit rate,
 // the in-flight coalescing count, and the speedup over evaluating the
 // same query list sequentially with one-shot Session::RunOffline — and
 // aborts if any served result differs from its one-shot reference
@@ -116,6 +118,7 @@ double Percentile(std::vector<double> sorted, double p) {
 
 struct LevelResult {
   size_t concurrency = 0;
+  size_t step_threads = 0;
   double serve_seconds = 0;
   double sequential_seconds = 0;
   double p50 = 0, p95 = 0, p99 = 0;
@@ -131,11 +134,14 @@ struct LevelResult {
 };
 
 /// Runs one sweep level: `concurrency` queries (the distinct workload,
-/// round-robin) through a fresh server, then the same list sequentially
-/// one-shot. Verifies every served result against the reference dump.
-LevelResult RunLevel(const ServeFixture& fixture, size_t concurrency) {
+/// round-robin) through a fresh server with `step_threads` step threads,
+/// then the same list sequentially one-shot. Verifies every served result
+/// against the reference dump.
+LevelResult RunLevel(const ServeFixture& fixture, size_t concurrency,
+                     size_t step_threads) {
   LevelResult out;
   out.concurrency = concurrency;
+  out.step_threads = step_threads;
 
   auto state = serve::ServiceState::Create(&fixture.graph, &fixture.store);
   ARIADNE_CHECK(state.ok());
@@ -143,6 +149,7 @@ LevelResult RunLevel(const ServeFixture& fixture, size_t concurrency) {
   serve::ServerOptions options;
   options.max_inflight = concurrency;
   options.queue_capacity = concurrency;
+  options.step_threads = step_threads;
   serve::QueryServer server(service.get(), options);
 
   std::vector<std::future<serve::ServeResponse>> futures;
@@ -188,6 +195,61 @@ LevelResult RunLevel(const ServeFixture& fixture, size_t concurrency) {
   return out;
 }
 
+/// A level run bench::BenchReps() times: the run of median serve time
+/// (its latencies and server counters with it), with the median
+/// sequential time.
+LevelResult MedianLevel(const ServeFixture& fixture, size_t concurrency,
+                        size_t step_threads) {
+  std::vector<LevelResult> runs;
+  std::vector<double> sequential;
+  for (int rep = 0; rep < bench::BenchReps(); ++rep) {
+    runs.push_back(RunLevel(fixture, concurrency, step_threads));
+    sequential.push_back(runs.back().sequential_seconds);
+  }
+  std::sort(runs.begin(), runs.end(),
+            [](const LevelResult& a, const LevelResult& b) {
+              return a.serve_seconds < b.serve_seconds;
+            });
+  std::sort(sequential.begin(), sequential.end());
+  LevelResult out = runs[runs.size() / 2];
+  out.sequential_seconds = sequential[sequential.size() / 2];
+  return out;
+}
+
+/// Prints level `r` and returns its JSON row.
+std::string LevelRow(const LevelResult& r) {
+  std::fprintf(stderr,
+               "  %zu step threads, %3zu concurrent: %7.1f qps (seq %6.1f, "
+               "%4.2fx)  p50 %.1fms p95 %.1fms p99 %.1fms  "
+               "scan hit %.0f%% mean group %.1f coalesced %llu\n",
+               r.step_threads, r.concurrency, r.ServeQps(), r.SequentialQps(),
+               r.Speedup(), r.p50 * 1e3, r.p95 * 1e3, r.p99 * 1e3,
+               100.0 * r.stats.scan.HitRate(), r.stats.MeanGroupSize(),
+               static_cast<unsigned long long>(r.stats.coalesced));
+  bench::JsonObject scan;
+  scan.Set("scans", static_cast<int64_t>(r.stats.scan.scans))
+      .Set("subscribers", static_cast<int64_t>(r.stats.scan.subscribers))
+      .Set("shared_hits", static_cast<int64_t>(r.stats.scan.shared_hits))
+      .Set("hit_rate", r.stats.scan.HitRate());
+  bench::JsonObject row;
+  row.Set("step_threads", static_cast<int64_t>(r.step_threads))
+      .Set("concurrency", static_cast<int64_t>(r.concurrency))
+      .Set("serve_seconds", r.serve_seconds)
+      .Set("aggregate_qps", r.ServeQps())
+      .Set("sequential_seconds", r.sequential_seconds)
+      .Set("sequential_qps", r.SequentialQps())
+      .Set("speedup_vs_sequential", r.Speedup())
+      .Set("latency_p50_ms", r.p50 * 1e3)
+      .Set("latency_p95_ms", r.p95 * 1e3)
+      .Set("latency_p99_ms", r.p99 * 1e3)
+      .Set("coalesced", static_cast<int64_t>(r.stats.coalesced))
+      .Set("group_steps", static_cast<int64_t>(r.stats.group_steps))
+      .Set("query_steps", static_cast<int64_t>(r.stats.query_steps))
+      .Set("mean_group_size", r.stats.MeanGroupSize())
+      .SetRaw("shared_scan", scan.Dump());
+  return row.Dump();
+}
+
 int RunServeSweep(const std::string& json_path) {
   ServeFixture fixture = ServeFixture::Build();
   std::fprintf(stderr,
@@ -200,37 +262,10 @@ int RunServeSweep(const std::string& json_path) {
                fixture.specs.size());
 
   std::vector<std::string> rows;
-  for (size_t concurrency : {1, 4, 16, 64, 256}) {
-    const LevelResult r = RunLevel(fixture, concurrency);
-    std::fprintf(stderr,
-                 "  %3zu concurrent: %7.1f qps (seq %6.1f, %4.2fx)  "
-                 "p50 %.1fms p95 %.1fms p99 %.1fms  "
-                 "scan hit %.0f%% mean group %.1f coalesced %llu\n",
-                 concurrency, r.ServeQps(), r.SequentialQps(), r.Speedup(),
-                 r.p50 * 1e3, r.p95 * 1e3, r.p99 * 1e3,
-                 100.0 * r.stats.scan.HitRate(), r.stats.MeanGroupSize(),
-                 static_cast<unsigned long long>(r.stats.coalesced));
-    bench::JsonObject scan;
-    scan.Set("scans", static_cast<int64_t>(r.stats.scan.scans))
-        .Set("subscribers", static_cast<int64_t>(r.stats.scan.subscribers))
-        .Set("shared_hits", static_cast<int64_t>(r.stats.scan.shared_hits))
-        .Set("hit_rate", r.stats.scan.HitRate());
-    bench::JsonObject row;
-    row.Set("concurrency", static_cast<int64_t>(r.concurrency))
-        .Set("serve_seconds", r.serve_seconds)
-        .Set("aggregate_qps", r.ServeQps())
-        .Set("sequential_seconds", r.sequential_seconds)
-        .Set("sequential_qps", r.SequentialQps())
-        .Set("speedup_vs_sequential", r.Speedup())
-        .Set("latency_p50_ms", r.p50 * 1e3)
-        .Set("latency_p95_ms", r.p95 * 1e3)
-        .Set("latency_p99_ms", r.p99 * 1e3)
-        .Set("coalesced", static_cast<int64_t>(r.stats.coalesced))
-        .Set("group_steps", static_cast<int64_t>(r.stats.group_steps))
-        .Set("query_steps", static_cast<int64_t>(r.stats.query_steps))
-        .Set("mean_group_size", r.stats.MeanGroupSize())
-        .SetRaw("shared_scan", scan.Dump());
-    rows.push_back(row.Dump());
+  for (size_t step_threads : {1, 4}) {
+    for (size_t concurrency : {1, 4, 16, 64, 256}) {
+      rows.push_back(LevelRow(MedianLevel(fixture, concurrency, step_threads)));
+    }
   }
 
   bench::JsonObject workload;
@@ -244,6 +279,7 @@ int RunServeSweep(const std::string& json_path) {
   top.Set("bench", "serve_superstep_sharing")
       .SetRaw("workload", workload.Dump())
       .Set("results_verified_identical_to_one_shot", true)
+      .Set("reps", static_cast<int64_t>(bench::BenchReps()))
       .Set("host_hardware_threads",
            static_cast<int64_t>(std::thread::hardware_concurrency()))
       .SetRaw("results", bench::JsonArray(rows, 4));

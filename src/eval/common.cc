@@ -93,6 +93,10 @@ Relation& NodeDatabases::FactRelation(VertexId v, int pred) {
   return Db(Part(v)).Rel(pred);
 }
 
+FactView& NodeDatabases::Facts(VertexId v, int pred) {
+  return Db(Part(v)).Facts(pred);
+}
+
 namespace {
 
 /// Whether `holder` has a live row of `rel` that agrees with `row` on the

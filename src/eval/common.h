@@ -95,8 +95,10 @@ class NodeDatabases {
     Insert(v, pred, std::span<const Value>(tuple.begin(), tuple.size()));
   }
   /// v's relation of `pred`, where v is holder HolderOf(v): offline facts
-  /// are appended to it straight from a layer's cells (FactLoader).
+  /// are inserted into it straight from a layer's cells (FactLoader).
   Relation& FactRelation(VertexId v, int pred);
+  /// The facts of `pred` v's partition reads in place (FactLoader).
+  FactView& Facts(VertexId v, int pred);
   static Holder HolderOf(VertexId v) {
     return static_cast<Holder>(v % kPartitionVertices);
   }

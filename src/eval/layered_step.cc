@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "common/logging.h"
 #include "common/timer.h"
 #include "pql/evaluator.h"
 
@@ -152,14 +153,9 @@ VertexSlices::VertexSlices(const storage::CaptureBatch& batch) {
     merged.push_back(runs.back());
     runs = std::move(merged);
   }
-  sole_.assign(slices.size(), 1);
   slices_.items.reserve(keys.size());
   for (size_t i = 0; i < keys.size(); ++i) {
     const Key& k = keys[i];
-    if (i > 0 && keys[i - 1].vertex == k.vertex && keys[i - 1].rel == k.rel) {
-      sole_[keys[i - 1].id] = 0;
-      sole_[k.id] = 0;
-    }
     slices_.items.push_back(k.id);
     if (i + 1 == keys.size() || keys[i + 1].vertex != k.vertex) {
       slices_.Close(k.vertex);
@@ -208,52 +204,41 @@ std::shared_ptr<const LayerView> BuildLayerView(
 FactLoader::FactLoader(const ProvenanceStore& store,
                        const AnalyzedQuery& query)
     : preds_(store.schema().size(), -1),
-      step_cols_(preds_.size(), -1),
-      inserted_(preds_.size(), 0) {
+      arities_(preds_.size(), 0),
+      in_place_(preds_.size(), 0) {
   for (size_t r = 0; r < preds_.size(); ++r) {
+    arities_[r] = store.schema()[r].arity;
     preds_[r] = query.PredId(store.schema()[r].name);
     if (preds_[r] < 0) continue;
     const PredicateInfo& info = query.pred(preds_[r]);
-    if (info.is_idb() || IsStaticEdb(info.edb) || IsTransientEdb(info.edb)) {
-      continue;
+    in_place_[r] = store.step_pure(static_cast<int>(r)) && !info.shipped &&
+                   info.arity == store.schema()[r].arity;
+  }
+  for (const LayerSlice& slice : store.static_data().slices) {
+    if (static_cast<size_t>(slice.rel) < in_place_.size()) {
+      in_place_[static_cast<size_t>(slice.rel)] = 0;
     }
-    step_cols_[r] = EdbStepColumn(info.edb).value_or(-1);
   }
-}
-
-bool FactLoader::Distinct(const storage::CaptureBatch& batch, uint32_t id,
-                          const VertexSlices& index, bool layer) {
-  const storage::CaptureBatch::Slice& s = batch.slices()[id];
-  const size_t rel = static_cast<size_t>(s.rel);
-  const int col = step_cols_[rel];
-  bool distinct = layer && col >= 0 && inserted_[rel] == 0 && index.sole(id);
-  if (distinct) {
-    const size_t c = static_cast<size_t>(col);
-    batch.ForEachRow(s, [&](const CellRow& row) {
-      distinct = distinct && c < row.size() &&
-                 row.kind(c) == Value::Kind::kInt &&
-                 row.AsInt(c) == batch.step;
-    });
-  }
-  if (!distinct) inserted_[rel] = 1;
-  return distinct;
 }
 
 void FactLoader::Add(NodeDatabases& nodes, const storage::CaptureBatch& batch,
-                     const VertexSlices& index, VertexId v, bool layer) {
+                     const VertexSlices& index, VertexId v) const {
   const Holder holder = NodeDatabases::HolderOf(v);
+  const FactLayer layer{batch.step, batch.chars(), batch.doubles()};
   for (uint32_t id : index.Of(v)) {
     const storage::CaptureBatch::Slice& s = batch.slices()[id];
-    const int pred = preds_[static_cast<size_t>(s.rel)];
+    const size_t rel = static_cast<size_t>(s.rel);
+    const int pred = preds_[rel];
     if (pred < 0) continue;  // relation not referenced by this query
-    Relation& rel = nodes.FactRelation(v, pred);
-    if (Distinct(batch, id, index, layer)) {
-      batch.ForEachRow(s, [&](const CellRow& row) {
-        rel.AppendDistinct(holder, row);
-      });
-    } else {
-      batch.ForEachRow(s, [&](const CellRow& row) { rel.Insert(holder, row); });
+    if (in_place_[rel] != 0) {
+      // The store keeps a step-pure relation's slices columnar.
+      ARIADNE_CHECK(s.arity == static_cast<uint32_t>(arities_[rel]));
+      nodes.Facts(v, pred).Add(holder, layer, batch.column(s, 0).data(),
+                               s.rows, static_cast<size_t>(s.bytes));
+      continue;
     }
+    Relation& facts = nodes.FactRelation(v, pred);
+    batch.ForEachRow(s, [&](const CellRow& row) { facts.Insert(holder, row); });
   }
 }
 
@@ -314,6 +299,7 @@ Status LayeredQueryRun::Init() {
   // Index the static segment once.
   static_batch_ = storage::CaptureBatch::FromLayer(store_->static_data());
   static_index_ = VertexSlices(static_batch_);
+  batches_.clear();
   peak_layer_bytes_ = 0;
   phases_ = EvalPhases{};
   phases_.view = timer.ElapsedSeconds();
@@ -345,6 +331,7 @@ Status LayeredQueryRun::Step(const LayerView& view) {
   const int step = processing_step_;
   const storage::CaptureBatch& batch = *view.batch;
   peak_layer_bytes_ = std::max(peak_layer_bytes_, batch.byte_size());
+  if (facts_.in_place()) batches_.push_back(view.batch);
 
   // Ships sent during the previous step arrive at this one's barrier.
   WallTimer timer;
@@ -384,10 +371,8 @@ Status LayeredQueryRun::Step(const LayerView& view) {
   Round round;
   round.active = active;
   round.facts = [&](VertexId v) {
-    if (step == 0) {
-      facts_.Add(nodes_, static_batch_, static_index_, v, /*layer=*/false);
-    }
-    facts_.Add(nodes_, batch, view.index, v, /*layer=*/true);
+    if (step == 0) facts_.Add(nodes_, static_batch_, static_index_, v);
+    facts_.Add(nodes_, batch, view.index, v);
   };
   round.targets = [&](VertexId v, ShipRouting routing) {
     return view.routes.Targets(v, routing, *adjacency_);

@@ -87,8 +87,7 @@ class ShipRoutes {
 
 /// A batch's slices grouped by vertex, the flat per-vertex slice index of
 /// a layer: the vertices that have slices, ascending, each with its slice
-/// ids ordered by relation, then batch order. It also records whether
-/// each slice is the only one of its (vertex, relation) in the batch.
+/// ids ordered by relation, then batch order.
 class VertexSlices {
  public:
   VertexSlices() = default;
@@ -99,11 +98,9 @@ class VertexSlices {
   std::span<const uint32_t> At(size_t i) const { return slices_.At(i); }
   /// Slice ids of `v` (empty when it has none).
   std::span<const uint32_t> Of(VertexId v) const { return slices_.Of(v); }
-  bool sole(uint32_t slice) const { return sole_[slice] != 0; }
 
  private:
   PerVertex<uint32_t> slices_;
-  std::vector<uint8_t> sole_;  ///< per slice id
 };
 
 /// Query-independent derived view of one provenance layer: the layer's
@@ -137,8 +134,8 @@ struct LayerView {
 /// Builds the derived indexes for `batch` (materialized with relation
 /// subset `rels`, sorted; empty = all). `send_rel`/`receive_rel` are the
 /// store's message-edge relation ids (-1 when not captured). Each slice
-/// of `batch` must be a set, as every batch the store serves is
-/// (FactLoader's distinct-row rule relies on it).
+/// of `batch` must be a set, as every batch the store serves is (facts
+/// read in place rely on it).
 std::shared_ptr<const LayerView> BuildLayerView(
     std::shared_ptr<const storage::CaptureBatch> batch, int step,
     int send_rel, int receive_rel, std::vector<int> rels);
@@ -181,47 +178,37 @@ class AdjacencyCache {
   std::vector<std::vector<uint8_t>> filled_;
 };
 
-/// How one offline run's facts enter its NodeDatabases: each row of a
-/// slice goes straight from the batch's cells into its vertex's relation
-/// of the query predicate named like the store relation.
-///
-/// The distinct-row rule: a slice's rows skip Relation's duplicate
-/// hashing and probing (Relation::AppendDistinct) only when
-///  1. its relation feeds a built-in EDB with a step column
-///     (EdbStepColumn);
-///  2. every row of the slice holds the layer's step in that column;
-///  3. the slice is the only one of its (vertex, relation) in the layer
-///     (VertexSlices::sole), and it holds a set, as the store keeps every
-///     slice (LayerStore::Append);
-/// and no slice of the relation took the Insert path earlier in the run
-/// (the static segment's slices always do). Rows of other layers then
-/// carry other steps, and a shipped row is another vertex's row or, for a
-/// self-message, the vertex's own row of an earlier round, so none can
-/// repeat. Every other row goes through Relation::Insert.
-///
-/// Keeps per-run state: one per run, used by one thread at a time.
+/// How one offline run's facts enter its NodeDatabases. A store relation
+/// the query reads is read in place — each of its slices joins its
+/// vertex's FactView, with no row copied, hashed or indexed — when
+///  1. the store keeps it step-pure (ProvenanceStore::step_pure);
+///  2. the static segment holds none of it;
+///  3. the query does not ship it: a vertex's shipped rows are collected
+///     from its Relation, where a self-message's copy of a vertex's own
+///     row meets that row as one;
+///  4. its arity is its predicate's.
+/// Every other relation's rows go straight from the batch's cells through
+/// Relation::Insert, so each holder sees each tuple once.
 class FactLoader {
  public:
   FactLoader(const ProvenanceStore& store, const AnalyzedQuery& query);
 
   /// Whether the query reads store relation `rel`.
   bool Reads(int rel) const { return preds_[static_cast<size_t>(rel)] >= 0; }
+  /// Whether some relation is read in place: the batches Add reads must
+  /// then outlive the run's evaluation.
+  bool in_place() const {
+    return std::find(in_place_.begin(), in_place_.end(), 1) != in_place_.end();
+  }
 
-  /// Adds v's slices of `batch` (indexed by `index`) as v's facts. The
-  /// slices of a layer (`layer`) may append distinct; the static
-  /// segment's never do.
+  /// Adds v's slices of `batch` (indexed by `index`) as v's facts.
   void Add(NodeDatabases& nodes, const storage::CaptureBatch& batch,
-           const VertexSlices& index, VertexId v, bool layer);
+           const VertexSlices& index, VertexId v) const;
 
  private:
-  /// Whether slice `id` of `batch` may append distinct (the rule above).
-  /// When not, its relation takes the Insert path from now on.
-  bool Distinct(const storage::CaptureBatch& batch, uint32_t id,
-                const VertexSlices& index, bool layer);
-
   std::vector<int> preds_;         ///< per store relation; -1: unread
-  std::vector<int> step_cols_;     ///< per store relation; -1: none
-  std::vector<uint8_t> inserted_;  ///< per store relation
+  std::vector<int> arities_;       ///< per store relation
+  std::vector<uint8_t> in_place_;  ///< per store relation
 };
 
 /// One query's layered evaluation, resumable in layer-sized steps — the
@@ -298,6 +285,9 @@ class LayeredQueryRun {
   /// The static segment's facts, added on the first step.
   storage::CaptureBatch static_batch_;
   VertexSlices static_index_;
+  /// The layer batches stepped through, while facts are read from them in
+  /// place.
+  std::vector<std::shared_ptr<const storage::CaptureBatch>> batches_;
 
   size_t peak_layer_bytes_ = 0;
   EvalPhases phases_;

@@ -30,23 +30,22 @@ Result<OfflineRun> NaiveEvaluator::Run() {
   ShipRoutes routes(store_->RelId("send-message"),
                     store_->RelId("receive-message"));
   WallTimer phase;
-  auto load = [&](const storage::CaptureBatch& batch, bool layer) {
+  auto load = [&](const storage::CaptureBatch& batch) {
     routes.Add(batch);
     const VertexSlices index(batch);
     phases.view += phase.Lap();
-    for (VertexId v : index.vertices()) {
-      facts.Add(nodes, batch, index, v, layer);
-    }
+    for (VertexId v : index.vertices()) facts.Add(nodes, batch, index, v);
     phases.facts += phase.Lap();
   };
-  load(storage::CaptureBatch::FromLayer(store_->static_data()),
-       /*layer=*/false);
+  load(storage::CaptureBatch::FromLayer(store_->static_data()));
+  // Facts read in place stay in their layers' batches until the run ends.
+  std::vector<std::shared_ptr<const storage::CaptureBatch>> batches;
   for (int step = 0; step < num_layers; ++step) {
-    // The shared_ptr owns the batch until `load` copied its rows out.
     ARIADNE_ASSIGN_OR_RETURN(std::shared_ptr<const storage::CaptureBatch> batch,
                              store_->GetLayerBatch(step, {}));
     phases.read += phase.Lap();
-    load(*batch, /*layer=*/true);
+    load(*batch);
+    if (facts.in_place()) batches.push_back(std::move(batch));
   }
   routes.Seal();
   phases.view += phase.Lap();

@@ -110,7 +110,8 @@ class OnlineProgram final
         graph_(graph),
         options_(options),
         nodes_(query, graph),
-        ships_(query, graph) {
+        ships_(query, graph),
+        fast_capture_steps_(FastCaptureSteps()) {
     value_pred_ = query_->PredId("value");
     vertex_value_now_pred_ = query_->PredId("vertex-value");
     superstep_pred_ = query_->PredId("superstep");
@@ -668,14 +669,17 @@ class OnlineProgram final
   /// The superstep/evolution skeleton rows of v's activation at `step`.
   void AppendSkeleton(storage::CaptureBatch& batch, VertexId v,
                       Superstep step) {
-    batch.BeginSlice(skeleton_superstep_rel_, v);
+    constexpr auto kAtStep = storage::CaptureBatch::Steps::kLayer;
+    batch.BeginSlice(skeleton_superstep_rel_, v,
+                     storage::CaptureBatch::Rows::kAny, kAtStep);
     batch.AddInt(v);
     batch.AddInt(step);
     batch.EndRow();
     batch.EndSlice();
     const Superstep prev = activations_[static_cast<size_t>(v)].prev;
     if (prev >= 0) {
-      batch.BeginSlice(skeleton_evolution_rel_, v);
+      batch.BeginSlice(skeleton_evolution_rel_, v,
+                       storage::CaptureBatch::Rows::kAny, kAtStep);
       batch.AddInt(v);
       batch.AddInt(prev);
       batch.AddInt(step);
@@ -706,7 +710,8 @@ class OnlineProgram final
         // a WCC vertex messaging a reciprocal neighbor via both adjacency
         // directions) collapse, exactly as the interpreted path dedups.
         batch.BeginSlice(FastCaptureRel(pi), v,
-                         storage::CaptureBatch::Rows::kDedup);
+                         storage::CaptureBatch::Rows::kDedup,
+                         fast_capture_steps_[pi]);
         auto row = [&](std::array<const Value*, 4> source) {
           for (int col : projection.columns) {
             batch.AddValue(col == -1 ? step_v
@@ -750,6 +755,27 @@ class OnlineProgram final
     const int rel = capture_rels_[static_cast<size_t>(head)];
     ARIADNE_CHECK(rel >= 0);
     return rel;
+  }
+
+  /// Per fast-capture projection: whether it writes the current superstep
+  /// into the step column of the built-in EDB its relation is named after.
+  std::vector<storage::CaptureBatch::Steps> FastCaptureSteps() const {
+    std::vector<storage::CaptureBatch::Steps> steps;
+    if (!query_->fast_capture().has_value()) return steps;
+    for (const FastCaptureProjection& projection :
+         query_->fast_capture()->projections) {
+      const EdbSchema* edb =
+          Catalog::Default().Find(query_->pred(projection.head_pred).name);
+      const std::optional<int> col =
+          edb != nullptr ? EdbStepColumn(edb->kind) : std::nullopt;
+      steps.push_back(
+          col.has_value() &&
+                  static_cast<size_t>(*col) < projection.columns.size() &&
+                  projection.columns[static_cast<size_t>(*col)] == -1
+              ? storage::CaptureBatch::Steps::kLayer
+              : storage::CaptureBatch::Steps::kAny);
+    }
+    return steps;
   }
 
   /// Projects static (edge-sourced) capture rules into the store's static
@@ -802,6 +828,7 @@ class OnlineProgram final
   std::vector<int> capture_rels_;  ///< store rel per output pred id, or -1
   int skeleton_superstep_rel_ = -1;
   int skeleton_evolution_rel_ = -1;
+  std::vector<storage::CaptureBatch::Steps> fast_capture_steps_;
 
   Status first_error_;  ///< first capture-append failure
   bool capture_degraded_ = false;

@@ -30,10 +30,30 @@ const Relation* Database::RelIfExists(int pred) const {
   return rels_[static_cast<size_t>(pred)].get();
 }
 
+FactView& Database::Facts(int pred) {
+  const size_t n = static_cast<size_t>(query_->num_preds());
+  if (facts_.size() < n) facts_.resize(n);
+  auto& slot = facts_[static_cast<size_t>(pred)];
+  if (slot == nullptr) {
+    const PredicateInfo& info = query_->pred(pred);
+    slot = std::make_unique<FactView>(EdbStepColumn(info.edb).value_or(-1),
+                                      info.arity);
+  }
+  return *slot;
+}
+
+const FactView* Database::FactsIfExists(int pred) const {
+  if (static_cast<size_t>(pred) >= facts_.size()) return nullptr;
+  return facts_[static_cast<size_t>(pred)].get();
+}
+
 size_t Database::TotalBytes() const {
   size_t bytes = 0;
   for (const auto& rel : rels_) {
     if (rel != nullptr) bytes += rel->byte_size();
+  }
+  for (const auto& facts : facts_) {
+    if (facts != nullptr) bytes += facts->byte_size();
   }
   return bytes;
 }
@@ -43,14 +63,17 @@ size_t Database::TotalTuples() const {
   for (const auto& rel : rels_) {
     if (rel != nullptr) n += rel->size();
   }
+  for (const auto& facts : facts_) {
+    if (facts != nullptr) n += facts->num_rows();
+  }
   return n;
 }
 
 uint64_t Database::VersionSum(const std::vector<int>& preds) const {
   uint64_t sum = 0;
   for (int p : preds) {
-    const Relation* rel = RelIfExists(p);
-    if (rel != nullptr) sum += rel->version();
+    if (const Relation* rel = RelIfExists(p)) sum += rel->version();
+    if (const FactView* facts = FactsIfExists(p)) sum += facts->num_slices();
   }
   return sum;
 }
@@ -180,6 +203,8 @@ struct RuleFrame {
   /// Per plan position: the ground tuple of a negated atom, or the edge
   /// tuple a static atom enumerates into.
   std::vector<Tuple> rows;
+  /// Per plan position: the rows a probe of a FactView returned.
+  std::vector<std::vector<FactRef>> fact_rows;
   /// Per plan position: a planned rule's probe key (RuleRun::PlanKeys).
   /// Then the variables bound on entry while planning, and the key being
   /// probed: a pointer per column, to the bound value or to the value
@@ -195,6 +220,10 @@ struct RuleFrame {
   std::vector<Holder> holders;
   std::vector<Holder> rescan;
   std::vector<AtomWatermark> marks;
+  /// The predicates of a delta walk's other positive stored atoms.
+  std::vector<int> others;
+  /// The row a full-key probe looks up (RuleRun::FullRow).
+  std::vector<const Value*> full_row;
 };
 
 RuleFrame& ThreadFrame() {
@@ -280,10 +309,11 @@ int PlainVarOf(const CompiledRule& rule, int idx) {
   return t.kind == CTerm::Kind::kVar ? t.var : -1;
 }
 
-// Uniform column access over the two row representations MatchTuple sees:
-// materialized Tuples (static edge enumeration, negated-atom grounding)
-// and borrowed Relation::RowView rows (stored relations — the hot path,
-// which must not materialize per row).
+// Uniform column access over the row representations MatchTuple sees:
+// materialized Tuples (static edge enumeration, negated-atom grounding),
+// borrowed Relation::RowView rows (stored relations) and CellRows of facts
+// read in place (FactView) — the hot paths, which must not materialize
+// per row.
 inline bool RowColEquals(const Tuple& t, size_t i, const Value& v) {
   return t[i] == v;
 }
@@ -291,10 +321,14 @@ inline bool RowColEquals(const Relation::RowView& t, size_t i,
                          const Value& v) {
   return t.Equals(i, v);
 }
+inline bool RowColEquals(const CellRow& t, size_t i, const Value& v) {
+  return t.Equals(i, v);
+}
 inline Value RowColValue(const Tuple& t, size_t i) { return t[i]; }
 inline Value RowColValue(const Relation::RowView& t, size_t i) {
   return t.value(i);
 }
+inline Value RowColValue(const CellRow& t, size_t i) { return t.value(i); }
 
 /// Group accumulator for aggregate rules.
 struct AggCell {
@@ -335,6 +369,9 @@ class RuleRun {
         keys_(frame.keys),
         key_(frame.key),
         key_values_(frame.key_values),
+        fact_rows_(frame.fact_rows),
+        others_(frame.others),
+        full_row_(frame.full_row),
         delta_literal_(delta_literal),
         persistent_agg_(persistent_agg) {
     env_.Reset(rule.vars.size());
@@ -345,7 +382,19 @@ class RuleRun {
     order_.assign(rule.eval_order.begin(), rule.eval_order.end());
     existential_.assign(rule.existential.begin(), rule.existential.end());
     if (rows_.size() < order_.size()) rows_.resize(order_.size());
+    if (fact_rows_.size() < order_.size()) fact_rows_.resize(order_.size());
+    others_.clear();
     if (delta_literal_ >= 0) {
+      for (size_t i = 0; i < rule.body.size(); ++i) {
+        const CLiteral& lit = rule.body[i];
+        if (static_cast<int>(i) == delta_literal_ ||
+            lit.kind != CLiteral::Kind::kAtom || lit.negated ||
+            (IsStaticEdb(ctx.db->query().pred(lit.pred).edb) &&
+             ctx.graph != nullptr)) {
+          continue;
+        }
+        others_.push_back(lit.pred);
+      }
       for (size_t k = 0; k < order_.size(); ++k) {
         if (static_cast<int>(order_[k]) == delta_literal_) {
           const size_t body_idx = order_[k];
@@ -370,6 +419,16 @@ class RuleRun {
 
   bool derived() const { return derived_; }
 
+  /// Makes the positive atoms before the delta atom in body order read
+  /// only the facts read in place below their watermarks in `marks`
+  /// (their slices before this evaluation). A valuation with a newer slice
+  /// there is the business of that atom's own delta walk, which runs
+  /// first; a head row it misses for want of a row derived since comes
+  /// from that row's delta walk in the next fixpoint round.
+  void ReadOldFactsBefore(std::span<const AtomWatermark> marks) {
+    old_marks_ = marks;
+  }
+
   /// Walks `holder`'s whole state once. An aggregate rule then replaces
   /// the holder's head rows with the walk's groups.
   Result<bool> RunHolder(Holder holder) {
@@ -392,12 +451,14 @@ class RuleRun {
   /// `rel`, each under its own holder, except the holders in `rescan`
   /// (sorted), which had rows removed and walk every live row below `end`
   /// instead. `end` snapshots the relation: rows derived during the walk
-  /// are left to the next fixpoint round.
+  /// are left to the next fixpoint round. Rows of holders no valuation
+  /// can reach (Reachable) are skipped.
   Status WalkDelta(const Relation& rel, size_t from, size_t end,
                    std::span<const Holder> rescan) {
     const CLiteral& lit = rule_.body[order_[0]];
     // Rows of one holder mostly sit together: rebind only on a change.
     bool scoped = false;
+    bool skip = false;
     Status s;
     for (size_t i = from; i < end && s.ok(); ++i) {
       if (!rel.alive(i)) continue;
@@ -406,17 +467,20 @@ class RuleRun {
           std::binary_search(rescan.begin(), rescan.end(), holder)) {
         continue;
       }
-      ++stats_.rows_scanned;
       if (!scoped || holder != holder_) {
         if (scoped) EndHolder();
         BeginHolder(holder);
         scoped = true;
+        skip = !Reachable(holder);
       }
+      if (skip) continue;
+      ++stats_.rows_scanned;
       s = MatchTuple(lit, rel.row_view(i), 0);
     }
     if (scoped) EndHolder();
     ARIADNE_RETURN_NOT_OK(s);
     for (Holder holder : rescan) {
+      if (!Reachable(holder)) continue;
       BeginHolder(holder);
       for (uint32_t i : rel.HolderRows(holder)) {
         if (i >= end) break;
@@ -424,6 +488,25 @@ class RuleRun {
         ++stats_.rows_scanned;
         s = MatchTuple(lit, rel.row_view(i), 0);
         if (!s.ok()) break;
+      }
+      EndHolder();
+      ARIADNE_RETURN_NOT_OK(s);
+    }
+    return Status::OK();
+  }
+
+  /// The same over the slices [from, end) of `facts`, which never lose
+  /// rows.
+  Status WalkDelta(const FactView& facts, size_t from, size_t end) {
+    const CLiteral& lit = rule_.body[order_[0]];
+    for (size_t id = from; id < end; ++id) {
+      const FactView::Slice& slice = facts.slice(id);
+      if (!Reachable(slice.holder)) continue;
+      BeginHolder(slice.holder);
+      stats_.rows_scanned += slice.rows;
+      Status s;
+      for (uint32_t r = 0; r < slice.rows && s.ok(); ++r) {
+        s = MatchTuple(lit, facts.Row(slice, r), 0);
       }
       EndHolder();
       ARIADNE_RETURN_NOT_OK(s);
@@ -459,6 +542,25 @@ class RuleRun {
   }
   void EndHolder() {
     if (ctx_.holder_base.has_value()) Unbind(rule_.head_loc_var);
+  }
+
+  /// Whether a delta walk's row at `holder` can take part in a valuation:
+  /// every other positive stored atom of the rule has a row there. A walk
+  /// only adds head rows at the holder it walks, so when one of those
+  /// atoms has none at a holder's first row, no row of that holder joins
+  /// in this walk; the skipped rows still meet that atom's later rows
+  /// through the atom's own delta walk.
+  bool Reachable(Holder holder) const {
+    for (int pred : others_) {
+      if (const Relation* rel = ctx_.db->RelIfExists(pred)) {
+        if (rel->holder_size(holder) == 0) return false;
+      } else if (const FactView* facts = ctx_.db->FactsIfExists(pred)) {
+        if (!facts->Holds(holder)) return false;
+      } else {
+        return false;
+      }
+    }
+    return true;
   }
 
   /// The holder's group map of the persistent aggregate state.
@@ -712,29 +814,32 @@ class RuleRun {
       return StepStaticAtom(lit, k);
     }
     Relation* rel = ctx_.db->MutableRelIfExists(lit.pred);
-    if (rel == nullptr || rel->holder_size(holder_) == 0) return Status::OK();
+    FactView* facts =
+        rel == nullptr ? ctx_.db->MutableFactsIfExists(lit.pred) : nullptr;
+    if (rel != nullptr ? rel->holder_size(holder_) == 0
+                       : facts == nullptr || !facts->Holds(holder_)) {
+      return Status::OK();
+    }
 
-    // Candidate rows: the holder's bucket of the bound key (keyed by
-    // holder and the key's values), else all of the holder's rows.
-    bool probed = false;
-    Relation::Bucket rows;
-    auto probe = [&](ColumnSet cols, std::span<const Value* const> key) {
-      if (!rel->HasIndex(cols)) ++stats_.index_builds;
-      ++stats_.index_probes;
-      probed = true;
-      return rel->Probe(holder_, cols, key);
-    };
+    // The probed columns and key_: every column known here (PlanKeys), or
+    // the first evaluable one. No columns: the holder's rows are scanned.
+    ColumnSet cols = 0;
+    bool full = false;
     if (rule_.planned) {
-      // One probe on every column known here (PlanKeys).
       const AtomKey& key = keys_[k];
-      ColumnSet cols = key.cols;
-      KeyFill fill = FillKey(key, cols, *rel);
+      const ColumnSet ints = facts != nullptr
+                                 ? ColumnSetOf(facts->step_column())
+                                 : rel->int_columns();
+      cols = key.cols;
+      KeyFill fill = FillKey(key, cols, ints);
       if (fill == KeyFill::kUnusable) {
         cols = key.fallback;
-        fill = FillKey(key, cols, *rel);
+        fill = FillKey(key, cols, ints);
       }
       if (fill == KeyFill::kNoMatch) return Status::OK();
-      if (cols != 0) rows = probe(cols, key_);
+      full = cols != 0 && lit.args.size() <= kMaxKeyColumns &&
+             (cols | LocationColumn(lit)) ==
+                 AllColumns(static_cast<int>(lit.args.size()));
     } else {
       // Legacy probe choice: first evaluable column wins. In holder-scoped
       // mode column 0 is the location and usually matches every row of the
@@ -742,25 +847,42 @@ class RuleRun {
       // column 0 only when nothing else is bound.
       const size_t first_col = ctx_.holder_base.has_value() ? 1 : 0;
       auto try_col = [&](size_t i) {
-        const Value* v = FastTerm(rule_, lit.args[i], env_);
-        std::optional<Value> owned;
-        if (v == nullptr && TermEvaluable(rule_, lit.args[i], env_)) {
-          owned = EvalTerm(rule_, lit.args[i], env_);
-          v = owned ? &*owned : nullptr;
+        key_.clear();
+        if (const Value* v = FastTerm(rule_, lit.args[i], env_)) {
+          key_.push_back(v);
+        } else if (TermEvaluable(rule_, lit.args[i], env_)) {
+          if (key_values_.empty()) key_values_.resize(1);
+          std::optional<Value> v = EvalTerm(rule_, lit.args[i], env_);
+          if (!v) return;
+          key_values_[0] = std::move(*v);
+          key_.push_back(&key_values_[0]);
+        } else {
+          return;
         }
-        if (v == nullptr) return;
-        rows = probe(ColumnSetOf(static_cast<int>(i)), std::span(&v, 1));
+        cols = ColumnSetOf(static_cast<int>(i));
       };
-      for (size_t i = first_col; i < lit.args.size() && !probed; ++i) {
+      for (size_t i = first_col; i < lit.args.size() && cols == 0; ++i) {
         try_col(i);
       }
-      if (!probed && first_col == 1) try_col(0);
+      if (cols == 0 && first_col == 1) try_col(0);
     }
-    if (probed) {
-      stats_.probe_rows += rows.size();
-    } else {
+    if (facts != nullptr) return StepFacts(lit, k, *facts, cols);
+
+    // Candidate rows: the holder's bucket of the bound key (keyed by
+    // holder and the key's values), else all of the holder's rows.
+    Relation::Bucket rows;
+    if (cols == 0) {
       rows = rel->HolderRows(holder_);
       stats_.rows_scanned += rows.size();
+    } else {
+      ++stats_.index_probes;
+      if (full) {
+        rows = rel->Find(holder_, FullRow(lit, cols));
+      } else {
+        if (!rel->HasIndex(cols)) ++stats_.index_builds;
+        rows = rel->Probe(holder_, cols, key_);
+      }
+      stats_.probe_rows += rows.size();
     }
     // The bucket walks only the rows it held when returned, so a recursive
     // rule may insert into this very relation mid-walk; those rows are
@@ -773,6 +895,65 @@ class RuleRun {
       if (existential && unified) break;
     }
     return Status::OK();
+  }
+
+  /// StepAtom over facts read in place: the rows of the probed key (one
+  /// layer's slice when the key holds the step column), or every row of
+  /// the holder.
+  Status StepFacts(const CLiteral& lit, size_t k, FactView& facts,
+                   ColumnSet cols) {
+    const bool existential = Existential(k);
+    bool unified = false;
+    const size_t body_idx = order_[k];
+    const size_t below = static_cast<int>(body_idx) < delta_literal_ &&
+                                 body_idx < old_marks_.size()
+                             ? old_marks_[body_idx].rows
+                             : facts.num_slices();
+    if (cols == 0) {
+      for (uint32_t id : facts.HolderSlices(holder_)) {
+        if (id >= below) break;
+        const FactView::Slice& slice = facts.slice(id);
+        stats_.rows_scanned += slice.rows;
+        for (uint32_t r = 0; r < slice.rows; ++r) {
+          ARIADNE_RETURN_NOT_OK(
+              MatchTuple(lit, facts.Row(slice, r), k, &unified));
+          if (existential && unified) return Status::OK();
+        }
+      }
+      return Status::OK();
+    }
+    std::vector<FactRef>& rows = fact_rows_[k];
+    ++stats_.index_probes;
+    if (facts.Probe(holder_, cols, key_, below, &rows)) ++stats_.index_builds;
+    stats_.probe_rows += rows.size();
+    for (const FactRef& ref : rows) {
+      ARIADNE_RETURN_NOT_OK(MatchTuple(lit, facts.Row(ref), k, &unified));
+      if (existential && unified) break;
+    }
+    return Status::OK();
+  }
+
+  /// Column 0 when it holds the head location in holder-scoped mode: it is
+  /// then bound to the holder's own vertex.
+  ColumnSet LocationColumn(const CLiteral& lit) const {
+    return ctx_.holder_base.has_value() && !lit.args.empty() &&
+                   PlainVarOf(rule_, lit.args[0]) == rule_.head_loc_var
+               ? ColumnSetOf(0)
+               : 0;
+  }
+
+  /// The probed row of a full key: key_'s values for `cols`, and the
+  /// holder's vertex in the location column outside them.
+  std::span<const Value* const> FullRow(const CLiteral& lit, ColumnSet cols) {
+    const size_t n = lit.args.size();
+    full_row_.resize(n);
+    size_t j = 0;
+    for (size_t c = 0; c < n; ++c) {
+      full_row_[c] = (cols & ColumnSetOf(static_cast<int>(c))) != 0
+                         ? key_[j++]
+                         : &env_.vals[static_cast<size_t>(rule_.head_loc_var)];
+    }
+    return full_row_;
   }
 
   /// The value of evaluable term `idx`: borrowed for constants and bound
@@ -912,11 +1093,12 @@ class RuleRun {
   /// in place, computed ones in key_values_.
   ///
   /// A pinned column keys on E - c, E + c or E only when E and c are ints,
-  /// |E| < 2^53 and `rel` has held only ints in that column. The equality
+  /// |E| < 2^53 and the relation has held only ints in that column (it is
+  /// in `int_cols`). The equality
   /// compares numerically, through doubles, and under those conditions
   /// the integer key (wrapping, as integer arithmetic does) is the one
   /// value of the column it accepts.
-  KeyFill FillKey(const AtomKey& key, ColumnSet cols, const Relation& rel) {
+  KeyFill FillKey(const AtomKey& key, ColumnSet cols, ColumnSet int_cols) {
     constexpr int64_t kExactDouble = int64_t{1} << 53;
     key_.clear();
     // Sized up front, as key_ keeps pointers into it: a pinned column may
@@ -941,7 +1123,8 @@ class RuleRun {
         key_.push_back(v);
         continue;
       }
-      if (v == nullptr || !v->is_int() || !rel.IntColumn(column.col) ||
+      if (v == nullptr || !v->is_int() ||
+          (int_cols & ColumnSetOf(column.col)) == 0 ||
           v->AsInt() <= -kExactDouble || v->AsInt() >= kExactDouble) {
         return KeyFill::kUnusable;
       }
@@ -989,6 +1172,8 @@ class RuleRun {
           }
         }
       }
+    } else if (FactView* facts = ctx_.db->MutableFactsIfExists(lit.pred)) {
+      exists = facts->Contains(holder_, t);
     } else {
       const Relation* rel = ctx_.db->RelIfExists(lit.pred);
       exists = rel != nullptr && rel->Contains(holder_, t);
@@ -1233,6 +1418,10 @@ class RuleRun {
   std::vector<AtomKey>& keys_;
   std::vector<const Value*>& key_;
   std::vector<Value>& key_values_;
+  std::vector<std::vector<FactRef>>& fact_rows_;
+  std::vector<int>& others_;
+  std::vector<const Value*>& full_row_;
+  std::span<const AtomWatermark> old_marks_;
   bool derived_ = false;
   int delta_literal_ = -1;
   PersistentAggState* persistent_agg_ = nullptr;
@@ -1297,8 +1486,12 @@ void HoldersToRun(const CompiledRule& rule, EvalContext& ctx,
   for (Holder holder : ctx.holders) {
     uint64_t version = 0;
     for (int pred : rule.body_preds) {
-      const Relation* rel = ctx.db->RelIfExists(pred);
-      if (rel != nullptr) version += rel->holder_version(holder);
+      if (const Relation* rel = ctx.db->RelIfExists(pred)) {
+        version += rel->holder_version(holder);
+      }
+      if (const FactView* facts = ctx.db->FactsIfExists(pred)) {
+        version += facts->holder_version(holder);
+      }
     }
     if (watermarks.size() <= holder) {
       watermarks.resize(size_t{holder} + 1,
@@ -1317,14 +1510,34 @@ enum class Rescan {
   kNone,         ///< none (RescanIsRedundant)
 };
 
-/// Delta range of driver relation `rel` under watermark `wm`: returns the
-/// first row to walk and fills `rescan` with the holders, chosen by
-/// `mode`, whose rows were removed since (kill generation past the
-/// watermark).
-size_t DeltaStart(const Relation* rel, const AtomWatermark& wm, Rescan mode,
-                  std::vector<Holder>& rescan, RuleEvalStats& stats) {
+/// A semi-naive driver's rows: its Relation, or its facts read in place
+/// (which never lose rows), or neither.
+struct DriverRows {
+  const Relation* rel = nullptr;
+  const FactView* facts = nullptr;
+
+  DriverRows(const Database& db, int pred)
+      : rel(db.RelIfExists(pred)), facts(db.FactsIfExists(pred)) {}
+
+  /// One past the last row id (slice id for facts).
+  size_t end() const {
+    return rel != nullptr ? rel->end_row()
+                          : facts != nullptr ? facts->num_slices() : 0;
+  }
+  AtomWatermark Mark() const {
+    return AtomWatermark{end(), rel != nullptr ? rel->kill_gen() : 0};
+  }
+};
+
+/// Delta range of a driver under watermark `wm`: returns the first row to
+/// walk and fills `rescan` with the holders, chosen by `mode`, whose rows
+/// were removed since (kill generation past the watermark).
+size_t DeltaStart(const DriverRows& driver, const AtomWatermark& wm,
+                  Rescan mode, std::vector<Holder>& rescan,
+                  RuleEvalStats& stats) {
   rescan.clear();
-  if (rel == nullptr) return 0;
+  const Relation* rel = driver.rel;
+  if (rel == nullptr) return driver.facts != nullptr ? wm.rows : 0;
   if (mode != Rescan::kNone && rel->kill_gen() > wm.kill_gen) {
     for (Holder h = 0; h < rel->num_holders(); ++h) {
       if (rel->holder_kill_gen(h) <= wm.kill_gen) continue;
@@ -1345,6 +1558,16 @@ size_t DeltaStart(const Relation* rel, const AtomWatermark& wm, Rescan mode,
   return wm.rows;
 }
 
+/// Walks a driver's delta rows [from, end) (RuleRun::WalkDelta).
+Status Walk(RuleRun& run, const DriverRows& driver, size_t from, size_t end,
+            std::span<const Holder> rescan) {
+  if (driver.facts != nullptr) return run.WalkDelta(*driver.facts, from, end);
+  if (driver.rel != nullptr) {
+    return run.WalkDelta(*driver.rel, from, end, rescan);
+  }
+  return Status::OK();
+}
+
 /// True when walking a driver's old rows again cannot derive anything
 /// new: no aggregate, and every negated atom reads a relation that never
 /// loses rows (static edges, or an IDB no aggregate replaces). Old rows
@@ -1360,11 +1583,6 @@ bool RescanIsRedundant(const CompiledRule& rule, const AnalyzedQuery& query) {
     if (!info.is_idb() || info.has_aggregate_rule) return false;
   }
   return true;
-}
-
-AtomWatermark MarkOf(const Relation* rel) {
-  if (rel == nullptr) return {};
-  return AtomWatermark{rel->end_row(), rel->kill_gen()};
 }
 
 /// Evaluates one rule semi-naively over every holder of the database:
@@ -1391,23 +1609,21 @@ Result<bool> EvalRuleImpl(const CompiledRule& rule, EvalContext& ctx,
   int agg_driver = -1;
   if (rule.has_aggregate && AggregateIsIncremental(rule, ctx, &agg_driver)) {
     HoldersToRun(rule, ctx, holder_watermarks, holders);
-    const CLiteral& lit = rule.body[static_cast<size_t>(agg_driver)];
-    const Relation* rel = ctx.db->RelIfExists(lit.pred);
+    const DriverRows driver(
+        *ctx.db, rule.body[static_cast<size_t>(agg_driver)].pred);
     AtomWatermark& wm = atom_watermarks[static_cast<size_t>(agg_driver)];
     if (agg_state == nullptr) agg_state = std::make_unique<PersistentAggState>();
     const size_t from =
-        DeltaStart(rel, wm, Rescan::kEveryKilled, rescan, stats);
+        DeltaStart(driver, wm, Rescan::kEveryKilled, rescan, stats);
     for (Holder h : rescan) {
       if (h < agg_state->groups.size()) agg_state->groups[h].clear();
     }
-    const size_t end = rel == nullptr ? 0 : rel->end_row();
+    const size_t end = driver.end();
     if (holders.empty() && from >= end && rescan.empty()) return false;
     RuleRun run(rule, ctx, stats, frame, agg_driver, agg_state.get());
     ++stats.evaluations;
-    if (rel != nullptr) {
-      ARIADNE_RETURN_NOT_OK(run.WalkDelta(*rel, from, end, rescan));
-    }
-    wm = MarkOf(rel);
+    ARIADNE_RETURN_NOT_OK(Walk(run, driver, from, end, rescan));
+    wm = driver.Mark();
     bool changed = false;
     for (Holder h : holders) {
       ARIADNE_ASSIGN_OR_RETURN(bool c, run.FlushPersistent(h));
@@ -1433,22 +1649,24 @@ Result<bool> EvalRuleImpl(const CompiledRule& rule, EvalContext& ctx,
   std::vector<AtomWatermark>& marks = frame.marks;
   marks.resize(drivers.size());
   for (size_t j = 0; j < drivers.size(); ++j) {
-    marks[j] = MarkOf(ctx.db->RelIfExists(
-        rule.body[static_cast<size_t>(drivers[j])].pred));
+    marks[j] =
+        DriverRows(*ctx.db, rule.body[static_cast<size_t>(drivers[j])].pred)
+            .Mark();
   }
   bool derived = false;
   const Rescan mode = RescanIsRedundant(rule, ctx.db->query())
                           ? Rescan::kNone
                           : Rescan::kOlderRows;
   for (size_t j = 0; j < drivers.size(); ++j) {
-    const Relation* rel = ctx.db->RelIfExists(
-        rule.body[static_cast<size_t>(drivers[j])].pred);
+    const DriverRows driver(*ctx.db,
+                            rule.body[static_cast<size_t>(drivers[j])].pred);
     const AtomWatermark& wm = atom_watermarks[static_cast<size_t>(drivers[j])];
-    const size_t from = DeltaStart(rel, wm, mode, rescan, stats);
+    const size_t from = DeltaStart(driver, wm, mode, rescan, stats);
     if (from >= marks[j].rows && rescan.empty()) continue;  // nothing new
     RuleRun run(rule, ctx, stats, frame, drivers[j]);
+    run.ReadOldFactsBefore(atom_watermarks);
     ++stats.evaluations;
-    ARIADNE_RETURN_NOT_OK(run.WalkDelta(*rel, from, rel->end_row(), rescan));
+    ARIADNE_RETURN_NOT_OK(Walk(run, driver, from, driver.end(), rescan));
     derived = derived || run.derived();
   }
   for (size_t j = 0; j < drivers.size(); ++j) {

@@ -14,6 +14,7 @@
 #include "common/status.h"
 #include "graph/graph.h"
 #include "pql/analysis.h"
+#include "pql/fact_view.h"
 #include "pql/relation.h"
 
 namespace ariadne {
@@ -51,9 +52,13 @@ struct PersistentAggState {
 struct RuleEvalStats {
   uint64_t evaluations = 0;    ///< rule walks (one per driver delta)
   uint64_t rows_scanned = 0;   ///< rows unified without an index probe
-  uint64_t index_probes = 0;   ///< column-index bucket lookups
-  uint64_t probe_rows = 0;     ///< candidate rows returned by chosen buckets
-  uint64_t index_builds = 0;   ///< lazy column-index constructions
+  /// Keyed lookups: column-index buckets, full-key dedup lookups, and
+  /// probes of facts read in place.
+  uint64_t index_probes = 0;
+  uint64_t probe_rows = 0;     ///< candidate rows the lookups returned
+  /// Lazy column-index constructions (of a relation, or of one holder's
+  /// facts read in place).
+  uint64_t index_builds = 0;
   uint64_t delta_rescans = 0;  ///< holders rescanned whole after losing rows
   uint64_t derived = 0;        ///< head tuples actually inserted
   double seconds = 0;          ///< wall time inside this rule's evaluation
@@ -76,6 +81,10 @@ struct EvalStats {
 /// Relation), of one node, or of the whole system. Relations are created
 /// lazily; evaluation watermarks are kept here so the same RuleEvaluator
 /// can serve many Databases.
+///
+/// An EDB predicate's facts may instead be read in place (offline runs,
+/// FactView): such a predicate never has a Relation, and the evaluator
+/// walks and probes its view.
 class Database {
  public:
   explicit Database(const AnalyzedQuery* query) : query_(query) {}
@@ -87,10 +96,21 @@ class Database {
         static_cast<const Database*>(this)->RelIfExists(pred));
   }
 
+  /// The facts of EDB predicate `pred` read in place (created on first
+  /// use).
+  FactView& Facts(int pred);
+  const FactView* FactsIfExists(int pred) const;
+  FactView* MutableFactsIfExists(int pred) {
+    return const_cast<FactView*>(
+        static_cast<const Database*>(this)->FactsIfExists(pred));
+  }
+
+  /// Bytes and tuples of the relations and of the facts read in place.
   size_t TotalBytes() const;
   size_t TotalTuples() const;
 
-  /// Sum of versions of the given predicates' relations.
+  /// Sum of versions of the given predicates' relations (a view's version
+  /// is its slice count).
   uint64_t VersionSum(const std::vector<int>& preds) const;
 
   const AnalyzedQuery& query() const { return *query_; }
@@ -125,6 +145,7 @@ class Database {
  private:
   const AnalyzedQuery* query_;
   std::vector<std::unique_ptr<Relation>> rels_;
+  std::vector<std::unique_ptr<FactView>> facts_;
   std::vector<uint64_t> rule_watermarks_;
   std::vector<std::vector<AtomWatermark>> atom_watermarks_;
   std::vector<std::unique_ptr<PersistentAggState>> agg_states_;

@@ -56,6 +56,21 @@ struct ValuesRow {
   size_t Hash(size_t col) const { return v[col].Hash(); }
 };
 
+/// The same over a row given as one pointer per column (a probe key).
+struct ValuePtrsRow {
+  std::span<const Value* const> v;
+
+  size_t size() const { return v.size(); }
+  Value::Kind kind(size_t col) const { return v[col]->kind(); }
+  int64_t AsInt(size_t col) const { return v[col]->AsInt(); }
+  double AsDouble(size_t col) const { return v[col]->AsDouble(); }
+  const std::string& AsString(size_t col) const { return v[col]->AsString(); }
+  const std::vector<double>& AsDoubleVector(size_t col) const {
+    return v[col]->AsDoubleVector();
+  }
+  size_t Hash(size_t col) const { return v[col]->Hash(); }
+};
+
 /// Row hash as stored in RowMeta: TupleHash of the materialized row,
 /// combined with the holder, folded.
 template <typename Row>
@@ -108,6 +123,43 @@ size_t CellRow::Hash(size_t col) const {
       return seed;
   }
   return seed;
+}
+
+Value CellRow::value(size_t col) const {
+  const Cell& c = cell(col);
+  switch (c.tag) {
+    case Value::Kind::kNull:
+      return Value();
+    case Value::Kind::kInt:
+      return Value(c.i);
+    case Value::Kind::kDouble:
+      return Value(c.d);
+    case Value::Kind::kString:
+      return Value(std::string(AsString(col)));
+    case Value::Kind::kDoubleVector: {
+      const std::span<const double> v = AsDoubleVector(col);
+      return Value(std::vector<double>(v.begin(), v.end()));
+    }
+  }
+  return Value();
+}
+
+bool CellRow::Equals(size_t col, const Value& v) const {
+  const Cell& c = cell(col);
+  if (c.tag != v.kind()) return false;
+  switch (c.tag) {
+    case Value::Kind::kNull:
+      return true;
+    case Value::Kind::kInt:
+      return c.i == v.AsInt();
+    case Value::Kind::kDouble:
+      return c.d == v.AsDouble();
+    case Value::Kind::kString:
+      return AsString(col) == v.AsString();
+    case Value::Kind::kDoubleVector:
+      return std::ranges::equal(AsDoubleVector(col), v.AsDoubleVector());
+  }
+  return false;
 }
 
 size_t TupleHash::operator()(const Tuple& t) const {
@@ -321,22 +373,10 @@ size_t Relation::FindRowSlot(Holder holder, uint32_t hash,
   }
 }
 
-void Relation::GrowDedup() const {
+void Relation::GrowDedup() {
   GrowTable(
       dedup_, [](uint32_t slot) { return slot == 0 || slot == kTombstone; },
       [this](uint32_t slot) { return hashes_[slot - 1]; });
-}
-
-void Relation::SyncDedup() const {
-  for (; hashed_rows_ < rows_.size(); ++hashed_rows_) {
-    const size_t id = hashed_rows_;
-    hashes_[id] = RowHash(rows_[id].holder, row_view(id));
-    if ((id + 1) * 2 > dedup_.size()) GrowDedup();
-    const size_t mask = dedup_.size() - 1;
-    size_t pos = hashes_[id] & mask;
-    while (dedup_[pos] != 0) pos = (pos + 1) & mask;
-    dedup_[pos] = static_cast<uint32_t>(id) + 1;
-  }
 }
 
 Relation::HolderSlot& Relation::Slot(Holder holder) {
@@ -400,20 +440,12 @@ void Relation::ResetIndexes() {
 
 template <typename Row>
 bool Relation::InsertRow(Holder holder, const Row& row) {
-  SyncDedup();
   const uint32_t hash = RowHash(holder, row);
   if ((rows_.size() + 1) * 2 > dedup_.size()) GrowDedup();
   const size_t pos = FindRowSlot(holder, hash, row);
   if (dedup_[pos] != 0) return false;
-  dedup_[pos] = static_cast<uint32_t>(rows_.size()) + 1;
-  AppendRow(holder, row, hash);
-  hashed_rows_ = rows_.size();
-  return true;
-}
-
-template <typename Row>
-void Relation::AppendRow(Holder holder, const Row& row, uint32_t hash) {
   const uint32_t id = static_cast<uint32_t>(rows_.size());
+  dedup_[pos] = id + 1;
   EncodeRow(row);
   rows_.push_back(RowMeta{static_cast<uint32_t>(cells_.size()), holder});
   hashes_.push_back(hash);
@@ -431,6 +463,7 @@ void Relation::AppendRow(Holder holder, const Row& row, uint32_t hash) {
   ++slot.version;
   byte_size_ += RowByteSize(id);
   ++version_;
+  return true;
 }
 
 bool Relation::HasIndex(ColumnSet cols) const {
@@ -452,15 +485,20 @@ bool Relation::Insert(Holder holder, const CellRow& row) {
   return InsertRow(holder, row);
 }
 
-void Relation::AppendDistinct(Holder holder, const CellRow& row) {
-  AppendRow(holder, row, 0);  // hashed by the next SyncDedup
-}
-
 bool Relation::Contains(Holder holder, std::span<const Value> t) const {
   if (holder_size(holder) == 0) return false;
-  SyncDedup();
   const ValuesRow row{t};
   return dedup_[FindRowSlot(holder, RowHash(holder, row), row)] != 0;
+}
+
+Relation::Bucket Relation::Find(Holder holder,
+                                std::span<const Value* const> row) const {
+  if (holder_size(holder) == 0) return Bucket();
+  const ValuePtrsRow values{row};
+  const uint32_t slot =
+      dedup_[FindRowSlot(holder, RowHash(holder, values), values)];
+  // A bucket of one row never follows its chain.
+  return slot == 0 ? Bucket() : Bucket(&holder_next_, slot - 1, 1);
 }
 
 Relation::Bucket Relation::Probe(Holder holder, ColumnSet cols,
@@ -528,7 +566,6 @@ void Relation::KillRow(uint32_t i) {
 
 void Relation::KillHolder(Holder holder) {
   if (holder_size(holder) == 0) return;
-  SyncDedup();
   for (uint32_t row : HolderRows(holder)) {
     if (dead_[row] == 0) KillRow(row);
   }
@@ -538,7 +575,6 @@ void Relation::KillHolder(Holder holder) {
 void Relation::KillHolderIf(Holder holder,
                             const std::function<bool(const RowView&)>& pred) {
   if (holder_size(holder) == 0) return;
-  SyncDedup();
   for (uint32_t row : HolderRows(holder)) {
     if (dead_[row] == 0 && pred(row_view(row))) KillRow(row);
   }
@@ -566,7 +602,6 @@ bool Relation::ReplaceHolder(Holder holder, std::vector<Tuple> tuples) {
   // iteration order is the new row order.
   std::unordered_set<Tuple, TupleHash> incoming(tuples.begin(), tuples.end());
   if (HolderHolds(holder, incoming)) return false;
-  SyncDedup();
   for (uint32_t row : HolderRows(holder)) {
     if (dead_[row] == 0) KillRow(row);
   }
@@ -602,7 +637,6 @@ void Relation::RebuildDedupAndChains() {
 std::vector<uint32_t> Relation::Compact() {
   // Kept rows slide down over dead ones. A row's cells only ever move to
   // lower offsets, so each row is read before anything overwrites it.
-  SyncDedup();
   const size_t n = rows_.size();
   std::vector<uint32_t> remap(n + 1);
   uint32_t kept = 0;
@@ -623,7 +657,6 @@ std::vector<uint32_t> Relation::Compact() {
   cells_.resize(out);
   rows_.resize(kept);
   hashes_.resize(kept);
-  hashed_rows_ = kept;
   dead_.assign(kept, 0);
   dead_rows_ = 0;
   RebuildDedupAndChains();

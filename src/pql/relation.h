@@ -74,6 +74,11 @@ struct CellRow {
   }
   /// Value::Hash of column `col`, computed without materializing it.
   size_t Hash(size_t col) const;
+  /// Column `col` as a Value (copies string and vector payloads).
+  Value value(size_t col) const;
+  /// Whether column `col` equals `v`: same kind and payload, doubles
+  /// compared with == (0.0 equals -0.0, NaN equals nothing).
+  bool Equals(size_t col, const Value& v) const;
 };
 
 /// A set of a relation's columns, bit c for column c: what an index is
@@ -115,10 +120,6 @@ inline constexpr ColumnSet AllColumns(int arity) {
 /// marks them dead in place: row ids and every other holder's delta
 /// watermarks stay valid, and the holder's kill generation tells readers
 /// to rescan it. Compact() drops dead rows and returns the row-id remap.
-///
-/// AppendDistinct adds a row the caller knows to be new without hashing
-/// or probing it; the dedup table catches up on such rows before the
-/// next Insert, Contains, kill or Compact.
 class Relation {
  public:
   /// One flat column cell. 16 bytes; the payload interpretation follows
@@ -254,12 +255,6 @@ class Relation {
   /// Inserts a row given as cells (a decoded layer's row).
   bool Insert(Holder holder, const CellRow& row);
 
-  /// Appends a row of `holder` without looking for a duplicate. The
-  /// caller guarantees that it differs from every row the relation holds
-  /// for `holder`, and that no row appended after it before the next
-  /// Insert equals it.
-  void AppendDistinct(Holder holder, const CellRow& row);
-
   bool Contains(Holder holder, std::span<const Value> t) const;
   bool Contains(std::span<const Value> t) const { return Contains(0, t); }
   bool Contains(const Tuple& t) const {
@@ -280,6 +275,11 @@ class Relation {
   }
   Bucket Probe(int col, const Value& v) { return Probe(0, col, v); }
 
+  /// `holder`'s row equal to `row` (one value per column, in column
+  /// order), looked up in the dedup table: a bucket of at most one row,
+  /// the one a Probe on every column would return. Builds no index.
+  Bucket Find(Holder holder, std::span<const Value* const> row) const;
+
   /// All of `holder`'s rows, in insertion order.
   Bucket HolderRows(Holder holder) const;
 
@@ -294,6 +294,8 @@ class Relation {
   bool IntColumn(int col) const {
     return col < kMaxKeyColumns && (non_int_cols_ & ColumnSetOf(col)) == 0;
   }
+  /// The keyable columns IntColumn holds for.
+  ColumnSet int_columns() const { return ~non_int_cols_; }
 
   /// Approximate memory footprint of the live tuples (indexes excluded)
   /// — the unit of the provenance-size accounting (Tables 3-4).
@@ -401,9 +403,6 @@ class Relation {
 
   template <typename Row>
   bool InsertRow(Holder holder, const Row& row);
-  /// Stores `row` as the next row id of `holder` (no dedup).
-  template <typename Row>
-  void AppendRow(Holder holder, const Row& row, uint32_t hash);
   template <typename Row>
   size_t FindRowSlot(Holder holder, uint32_t hash, const Row& row) const;
   template <typename Row>
@@ -412,10 +411,7 @@ class Relation {
   void EncodeRow(const Row& row);
 
   HolderSlot& Slot(Holder holder);
-  void GrowDedup() const;
-  /// Hashes the rows AppendDistinct added since the last call into the
-  /// dedup table. Const because the table is a cache over the rows.
-  void SyncDedup() const;
+  void GrowDedup();
   /// Adds the next unindexed row to `index`, an index on `cols`.
   void IndexNextRow(ColumnSet cols, ColumnIndex& index);
   void ResetIndexes();
@@ -447,13 +443,10 @@ class Relation {
   std::vector<HolderSlot> holders_;
   /// Per row: the next row of the same holder (HolderRows' chain).
   std::vector<uint32_t> holder_next_;
-  /// Per row: its hash (holder included), computed once on insert or by
-  /// SyncDedup.
-  mutable std::vector<uint32_t> hashes_;
+  /// Per row: its hash (holder included), computed once on insert.
+  std::vector<uint32_t> hashes_;
   /// Dedup table: row id + 1 per slot, 0 = empty; power-of-two size.
-  /// Rows [0, hashed_rows_) are in it.
-  mutable std::vector<uint32_t> dedup_;
-  mutable size_t hashed_rows_ = 0;
+  std::vector<uint32_t> dedup_;
   /// One index per probed column set. Boxed: a Bucket points into its
   /// index, and probing a new set must not move the others.
   struct IndexEntry {

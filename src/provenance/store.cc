@@ -1,5 +1,6 @@
 #include "provenance/store.h"
 
+#include <algorithm>
 #include <cstring>
 #include <utility>
 
@@ -21,6 +22,16 @@ constexpr size_t kV2HeaderBytes = 4 + 4 + 8;
 /// layered eval refuses full-history queries over the loaded store.
 constexpr uint32_t kV2FlagDegraded = 1u;
 
+/// The step column of a relation named after a built-in EDB that a layer
+/// stores (not a static or transient one), or -1.
+int StepColumnOf(const std::string& name) {
+  const EdbSchema* edb = Catalog::Default().Find(name);
+  if (edb == nullptr || IsStaticEdb(edb->kind) || IsTransientEdb(edb->kind)) {
+    return -1;
+  }
+  return EdbStepColumn(edb->kind).value_or(-1);
+}
+
 }  // namespace
 
 void ProvenanceStore::MarkDegraded(Superstep at_step,
@@ -36,6 +47,8 @@ int ProvenanceStore::AddRelation(const std::string& name, int arity) {
   const int existing = RelId(name);
   if (existing >= 0) return existing;
   schema_.push_back(StoredRelation{name, arity});
+  const int step_col = StepColumnOf(name);
+  step_cols_.push_back(step_col < arity ? step_col : -1);
   return static_cast<int>(schema_.size() - 1);
 }
 
@@ -66,12 +79,43 @@ Status ProvenanceStore::ConfigureStorage(storage::LayerStoreOptions options) {
 }
 
 Status ProvenanceStore::AppendBatch(storage::CaptureBatch batch) {
+  NoteStepPurity(batch);
   return layers_->Append(
       std::make_shared<const storage::CaptureBatch>(std::move(batch)));
 }
 
 Status ProvenanceStore::AppendLayer(Layer layer) {
-  return layers_->Append(std::make_shared<const Layer>(std::move(layer)));
+  return AppendBatch(storage::CaptureBatch::FromLayer(layer));
+}
+
+void ProvenanceStore::NoteStepPurity(const storage::CaptureBatch& batch) {
+  // (relation, vertex) of the slices of still step-pure relations; a
+  // batch lists them ascending unless it was put together by hand.
+  std::vector<std::pair<int, VertexId>> keys;
+  keys.reserve(batch.slices().size());
+  bool ascending = true;
+  for (const storage::CaptureBatch::Slice& s : batch.slices()) {
+    if (!step_pure(s.rel)) continue;
+    const size_t rel = static_cast<size_t>(s.rel);
+    bool pure = s.arity == static_cast<uint32_t>(schema_[rel].arity);
+    if (pure && !s.at_step) {
+      for (const storage::CaptureBatch::Cell& c :
+           batch.column(s, static_cast<size_t>(step_cols_[rel]))) {
+        pure = pure && c.tag == Value::Kind::kInt && c.i == batch.step;
+      }
+    }
+    if (!pure) {
+      step_cols_[rel] = -1;
+      continue;
+    }
+    ascending = ascending && (keys.empty() || keys.back() < std::pair(s.rel, s.vertex));
+    keys.emplace_back(s.rel, s.vertex);
+  }
+  if (ascending) return;
+  std::sort(keys.begin(), keys.end());
+  for (size_t i = 1; i < keys.size(); ++i) {
+    if (keys[i] == keys[i - 1]) step_cols_[static_cast<size_t>(keys[i].first)] = -1;
+  }
 }
 
 Status ProvenanceStore::Flush() { return layers_->Drain(); }

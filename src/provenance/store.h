@@ -46,6 +46,20 @@ class ProvenanceStore {
   /// Schema view for Analyze() of offline queries.
   StoreSchema ToStoreSchema() const;
 
+  /// Whether relation `rel` is step-pure: it is named after a built-in EDB
+  /// with a step column (superstep, value, evolution, send-message,
+  /// receive-message), and each of its slices in every layer is columnar
+  /// with the relation's arity, holds the layer's step in that column in
+  /// every row, and is the only slice of its (vertex, relation) in the
+  /// layer. Offline runs read such a relation in place (FactView,
+  /// DESIGN.md §2.3). Every append keeps the flag: a slice written as
+  /// CaptureBatch::Steps::kLayer is taken at its word, and any other has
+  /// its step cells checked.
+  bool step_pure(int rel) const {
+    return rel >= 0 && static_cast<size_t>(rel) < step_cols_.size() &&
+           step_cols_[static_cast<size_t>(rel)] >= 0;
+  }
+
   // ---- Building (capture) ----
 
   /// Enables spilling with default storage options: layers beyond
@@ -151,7 +165,12 @@ class ProvenanceStore {
   Status storage_flush_error() const { return layers_->flush_error(); }
 
  private:
+  /// Clears step_pure for the relations `batch` breaks it for.
+  void NoteStepPurity(const storage::CaptureBatch& batch);
+
   std::vector<StoredRelation> schema_;
+  /// Per relation: its step column while it is step-pure, else -1.
+  std::vector<int> step_cols_;
   Layer static_layer_;
   /// unique_ptr keeps ProvenanceStore movable: background flush tasks
   /// hold a LayerStore `this`, which therefore must not move.

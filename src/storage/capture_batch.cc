@@ -91,10 +91,12 @@ bool AddCells(CaptureBatch& batch, const Row& row) {
 
 }  // namespace
 
-void CaptureBatch::BeginSlice(int rel, VertexId vertex, Rows rows) {
+void CaptureBatch::BeginSlice(int rel, VertexId vertex, Rows rows,
+                              Steps steps) {
   open_ = Slice{};
   open_.rel = rel;
   open_.vertex = vertex;
+  open_.at_step = steps == Steps::kLayer;
   rows_ = rows;
   staging_.clear();
   row_begin_.assign(1, 0);
@@ -434,7 +436,8 @@ CaptureBatch CaptureBatch::Distinct() const {
   CaptureBatch out;
   out.step = step;
   for (const Slice& s : slices_) {
-    out.BeginSlice(s.rel, s.vertex, Rows::kDedup);
+    out.BeginSlice(s.rel, s.vertex, Rows::kDedup,
+                   s.at_step ? Steps::kLayer : Steps::kAny);
     ForEachRow(s, [&out](const CellRow& row) { out.AddRow(row); });
     out.EndSlice();
   }

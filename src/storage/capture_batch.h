@@ -48,6 +48,8 @@ class CaptureBatch {
   /// at `arity_begin + r` of the arity list.
   struct Slice {
     int rel = 0;
+    /// Written as Steps::kLayer (decoded slices never are).
+    bool at_step = false;
     VertexId vertex = 0;
     uint32_t rows = 0;
     uint32_t arity = 0;
@@ -71,8 +73,16 @@ class CaptureBatch {
     kDedup,
   };
 
+  /// What the writer knows of the step column of a slice's relation
+  /// (EdbStepColumn of the built-in EDB it is named after, if any).
+  enum class Steps {
+    kAny,    ///< nothing
+    kLayer,  ///< every row holds the batch's step there
+  };
+
   /// Opens a slice of `rel` at `vertex`.
-  void BeginSlice(int rel, VertexId vertex, Rows rows = Rows::kAny);
+  void BeginSlice(int rel, VertexId vertex, Rows rows = Rows::kAny,
+                  Steps steps = Steps::kAny);
   void AddNull();
   void AddInt(int64_t v);
   void AddDouble(double v);
@@ -146,6 +156,9 @@ class CaptureBatch {
       }
     }
   }
+  /// The pools a CellRow over this batch's cells reads payloads from.
+  const char* chars() const { return chars_.data(); }
+  const double* doubles() const { return doubles_.data(); }
   std::string_view AsString(const Cell& c) const {
     return {chars_.data() + c.off, c.len};
   }

@@ -163,9 +163,9 @@ class LayerStore {
   /// enabled the encode+write happens on the flusher; this call only
   /// blocks when `max_unflushed_bytes` of write-behind is outstanding.
   ///
-  /// Every slice the store holds is a set, the invariant offline fact
-  /// loading relies on (FactLoader, eval/layered_step.h): a batch not
-  /// known to hold sets (CaptureBatch::sets) is stored as its Distinct().
+  /// Every slice the store holds is a set, the invariant offline facts
+  /// read in place rely on (FactView, pql/fact_view.h): a batch not known
+  /// to hold sets (CaptureBatch::sets) is stored as its Distinct().
   Status Append(std::shared_ptr<const CaptureBatch> batch);
   /// Appends `layer` as its batch (CaptureBatch::FromLayer).
   Status Append(std::shared_ptr<const Layer> layer);

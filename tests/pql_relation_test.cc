@@ -360,8 +360,9 @@ TEST(RelationTest, MatchesLinearScanModel) {
     for (int i = 0; i < 40; ++i) other.Insert(RandomTuple(rng));
 
     // Kinds 0-99 are the op mix, about 600 ops per seed; kinds 100-104
-    // add about 30 cell-row inserts on top.
-    for (int op = 0; op < 630; ++op) {
+    // add about 30 cell-row inserts on top, and kinds 105-114 about 60
+    // full-key lookups.
+    for (int op = 0; op < 690; ++op) {
       const uint64_t version = rel.version();
       const uint64_t kill_gen = rel.kill_gen();
       const Holder h = static_cast<Holder>(rng.NextUInt(kModelHolders));
@@ -373,7 +374,7 @@ TEST(RelationTest, MatchesLinearScanModel) {
         }
         return RandomTuple(rng);
       };
-      const uint64_t kind = rng.NextUInt(105);
+      const uint64_t kind = rng.NextUInt(115);
       if (kind < 40) {
         const Tuple t = RandomTuple(rng);
         const bool inserted = model.Insert(h, t);
@@ -482,28 +483,47 @@ TEST(RelationTest, MatchesLinearScanModel) {
         EXPECT_EQ(rel.version(), version);
         EXPECT_EQ(rel.kill_gen(), kill_gen);
         EXPECT_EQ(rel.dead_rows(), 0u);
-      } else {
-        // A row of cells (a decoded layer's row): appended without a
-        // duplicate probe when the holder lacks it, else inserted (and
-        // dropped), which first hashes the appended rows.
+      } else if (kind < 105) {
+        // A row of cells (a decoded layer's row), inserted like any other.
         const Tuple t = random_live_or_new();
         storage::CaptureBatch batch;
         batch.BeginSlice(0, 0);
         for (const Value& v : t) batch.AddValue(v);
         batch.EndRow();
         batch.EndSlice();
-        const bool present = model.Contains(h, t);
+        const bool inserted = model.Insert(h, t);
         batch.ForEachRow(batch.slices()[0], [&](const CellRow& row) {
-          if (present) {
-            EXPECT_FALSE(rel.Insert(h, row));
-          } else {
-            rel.AppendDistinct(h, row);
-          }
+          EXPECT_EQ(rel.Insert(h, row), inserted);
         });
-        if (!present) {
-          ASSERT_TRUE(model.Insert(h, t));
-          EXPECT_GT(rel.version(), version);
+        EXPECT_EQ(rel.version() > version, inserted);
+      } else {
+        // A full key looked up in the dedup table: the live row a probe
+        // on every column returns, if any. Keys mostly come from a row,
+        // live or killed, with 0.0 and -0.0 swapped at random.
+        Tuple key;
+        if (rng.NextBool(0.7) && !model.rows.empty()) {
+          key = model.rows[rng.NextUInt(model.rows.size())].tuple;
+        } else {
+          key = RandomTuple(rng);
         }
+        for (Value& v : key) {
+          if (rng.NextBool(0.2)) v = RandomValue(rng);
+          if (v.is_double() && v.AsDouble() == 0.0 && rng.NextBool(0.5)) {
+            v = Value(-v.AsDouble());
+          }
+        }
+        std::vector<uint32_t> expected;
+        for (size_t i = 0; i < model.rows.size(); ++i) {
+          const Model::Row& row = model.rows[i];
+          if (row.alive && row.holder == h && row.tuple == key) {
+            expected.push_back(static_cast<uint32_t>(i));
+          }
+        }
+        std::vector<uint32_t> got;
+        for (uint32_t row : rel.Find(h, Key(key))) got.push_back(row);
+        EXPECT_EQ(got, expected) << "holder " << h << " find "
+                                 << TupleToString(key);
+        EXPECT_EQ(rel.version(), version);
       }
       ExpectMatches(rel, model);
       for (int c = 0; c < 3; ++c) {
